@@ -36,9 +36,9 @@ workload::RunMetrics RunTraced(World* w, MakeSystemFn make,
 
 void PhaseRow(const char* label, workload::RunMetrics* m) {
   printf("%-12s execute=%7.1fms order=%7.1fms validate=%8.1fms total=%8.1fms\n",
-         label, m->phase_us("execute").Mean() / 1000.0,
-         m->phase_us("order").Mean() / 1000.0,
-         m->phase_us("validate").Mean() / 1000.0,
+         label, m->phase(core::Phase::kExecute).Mean() / 1000.0,
+         m->phase(core::Phase::kOrder).Mean() / 1000.0,
+         m->phase(core::Phase::kValidate).Mean() / 1000.0,
          m->txn_latency_us.Mean() / 1000.0);
 }
 
@@ -82,9 +82,9 @@ void RunQueryBreakdown() {
     auto m = RunTraced(
         &w, [](World* world) { return MakeFabric(world, 5); }, wcfg, scale,
         "fig8b_fabric", 1.0, /*arrival=*/200);
+    const double auth_us = m.phase(core::Phase::kAuth).Mean();
     printf("%-8s auth=%6.2fms read+net=%6.2fms total=%6.2fms\n", "fabric",
-           m.phase_us("auth").Mean() / 1000.0,
-           (m.query_latency_us.Mean() - m.phase_us("auth").Mean()) / 1000.0,
+           auth_us / 1000.0, (m.query_latency_us.Mean() - auth_us) / 1000.0,
            m.query_latency_us.Mean() / 1000.0);
   }
   {

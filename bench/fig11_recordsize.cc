@@ -111,8 +111,8 @@ void Run(bool quick) {
     double arrival = 0.7 * quorum_runs[size].throughput_tps;
     auto m = RunYcsb(&w, quorum.get(), wcfg, scale, 0, arrival);
     printf("%6zuB %14.0fms %20.0fms\n", size,
-           m.phase_us("proposal").Mean() / 1000.0,
-           m.phase_us("consensus+commit").Mean() / 1000.0);
+           m.phase(core::Phase::kProposal).Mean() / 1000.0,
+           m.phase(core::Phase::kConsensusCommit).Mean() / 1000.0);
   }
   printf("(modeled per-record MPT reconstruction: 10B=%.0fus, 5000B=%.0fus "
          "— paper: 56us -> 2.5ms; fast path: 5000B=%.0fus)\n",

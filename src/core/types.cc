@@ -60,27 +60,6 @@ const char* PhaseName(Phase phase) {
   return "unknown";
 }
 
-bool ParsePhaseName(const std::string& name, Phase* out) {
-  for (size_t i = 0; i < kNumPhases; i++) {
-    Phase phase = static_cast<Phase>(i);
-    if (name == PhaseName(phase)) {
-      *out = phase;
-      return true;
-    }
-  }
-  return false;
-}
-
-sim::Time TxnResult::phase_us(const std::string& name) const {
-  Phase phase;
-  return ParsePhaseName(name, &phase) ? phases.Get(phase) : 0;
-}
-
-sim::Time ReadResult::phase_us(const std::string& name) const {
-  Phase phase;
-  return ParsePhaseName(name, &phase) ? phases.Get(phase) : 0;
-}
-
 std::string TxnRequest::Serialize() const {
   std::string out;
   PutFixed64(&out, txn_id);

@@ -96,8 +96,6 @@ enum class Phase : uint8_t {
 inline constexpr size_t kNumPhases = 12;
 
 const char* PhaseName(Phase phase);
-/// Accepts the names PhaseName produces; returns false on anything else.
-bool ParsePhaseName(const std::string& name, Phase* out);
 
 /// Per-transaction phase-latency breakdown: a flat array indexed by Phase
 /// plus a presence mask — replaces the per-txn heap-allocated string map on
@@ -162,8 +160,6 @@ struct TxnResult {
   std::map<std::string, std::string> reads;
 
   sim::Time latency() const { return finish_time - submit_time; }
-  /// Name-keyed compatibility shim for bench/printf code ("execute", ...).
-  sim::Time phase_us(const std::string& name) const;
 };
 
 using TxnCallback = std::function<void(const TxnResult&)>;
@@ -183,7 +179,6 @@ struct ReadResult {
   PhaseTimeline phases;
 
   sim::Time latency() const { return finish_time - submit_time; }
-  sim::Time phase_us(const std::string& name) const;
 };
 
 using ReadCallback = std::function<void(const ReadResult&)>;

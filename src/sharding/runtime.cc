@@ -200,24 +200,6 @@ void EpochSequencer::Start() {
   sim_->Schedule(config_.epoch_interval, [this] { Tick(); });
 }
 
-bool EpochSequencer::HasLeader() const {
-  auto* transport = const_cast<systems::runtime::Transport*>(transport_.get());
-  if (transport->raft() != nullptr) {
-    return transport->raft()->leader() != nullptr;
-  }
-  return transport->bft()->primary() != nullptr;
-}
-
-sim::NodeId EpochSequencer::EntryId() const {
-  auto* transport = const_cast<systems::runtime::Transport*>(transport_.get());
-  if (transport->raft() != nullptr) {
-    auto* leader = transport->raft()->leader();
-    return leader != nullptr ? leader->id() : nodes_.id_of(0);
-  }
-  auto* primary = transport->bft()->primary();
-  return primary != nullptr ? primary->id() : nodes_.id_of(0);
-}
-
 void EpochSequencer::Tick() {
   if (!mempool_.empty() && HasLeader()) CutAndOrder();
   sim_->Schedule(config_.epoch_interval, [this] { Tick(); });

@@ -190,9 +190,11 @@ class EpochSequencer {
 
   void Start();
 
-  bool HasLeader() const;
+  bool HasLeader() const { return transport_->HasLeader(); }
   /// Current leader/primary — where clients send transactions.
-  sim::NodeId EntryId() const;
+  sim::NodeId EntryId() const {
+    return transport_->LeaderId(nodes_.id_of(0));
+  }
   /// Fixed replica (index 0) that fans ordered epochs out to the shards.
   sim::NodeId DistributorId() const { return nodes_.id_of(0); }
 

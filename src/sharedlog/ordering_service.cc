@@ -42,7 +42,7 @@ OrderingService::OrderingService(sim::Simulator* sim, sim::SimNetwork* net,
 void OrderingService::Start() { raft_->StartAll(); }
 
 bool OrderingService::HasLeader() const {
-  return const_cast<OrderingService*>(this)->Leader() != nullptr;
+  return raft_->leader() != nullptr;
 }
 
 consensus::RaftNode* OrderingService::Leader() { return raft_->leader(); }

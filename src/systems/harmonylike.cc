@@ -2,24 +2,33 @@
 
 #include <utility>
 
-#include "crypto/signature.h"
 #include "obs/trace.h"
 
 namespace dicho::systems {
 
 namespace {
 
-/// Read view over a replica's committed MPT state.
-class MptView : public contract::StateView {
- public:
-  explicit MptView(const adt::MerklePatriciaTrie* state) : state_(state) {}
-  Status Get(const Slice& key, std::string* value) override {
-    return state_->Get(key, value);
-  }
-
- private:
-  const adt::MerklePatriciaTrie* state_;
-};
+runtime::BlockPipelineConfig PipelineConfig(const sim::CostModel* costs,
+                                            const HarmonyConfig& config) {
+  runtime::BlockPipelineConfig pipeline;
+  pipeline.name = "harmony";
+  pipeline.base = runtime::kHarmonyBase;
+  pipeline.num_nodes = config.num_nodes;
+  pipeline.transport.kind = config.consensus == HarmonyConsensus::kRaft
+                                ? runtime::TransportKind::kRaft
+                                : runtime::TransportKind::kBft;
+  pipeline.transport.raft = config.raft;
+  pipeline.transport.bft = config.bft;
+  pipeline.interval = config.epoch_interval;
+  pipeline.policy.max_txns = config.max_epoch_txns;
+  pipeline.policy.max_bytes = config.max_epoch_bytes;
+  pipeline.client_node = config.client_node;
+  // Native read path — no VM between the RPC layer and the storage engine
+  // (contrast quorum_query_us).
+  pipeline.read_cost = costs->native_op_us + costs->lsm_read_us;
+  pipeline.read_phase = core::Phase::kRead;
+  return pipeline;
+}
 
 }  // namespace
 
@@ -27,44 +36,25 @@ HarmonySystem::HarmonySystem(sim::Simulator* sim, sim::SimNetwork* net,
                              const sim::CostModel* costs, HarmonyConfig config)
     : sim_(sim),
       net_(net),
-      costs_(costs),
       config_(config),
-      nodes_(sim, runtime::kHarmonyBase, config_.num_nodes),
       contracts_(contract::ContractRegistry::CreateDefault()),
       executor_(contracts_.get(), costs, config_.exec_lanes,
                 config_.fast_storage),
-      mempool_(&stats_.stages),
-      inflight_(&stats_.stages) {
+      pipeline_(sim, net, costs, PipelineConfig(costs, config_),
+                MakeHooks(sim, costs)) {
   if (config_.fast_storage) {
     // Out-of-line threshold chosen at the record sizes where full-path
     // re-hashing dominates (Fig. 11's knee); must be set before any state
     // lands in the tries.
     adt::MptOptions options;
     options.inline_value_threshold = 1024;
-    nodes_.ForEach([&](sim::NodeId, Node& node) {
-      node.state.Configure(options);
-    });
+    pipeline_.nodes().ForEach(
+        [&](runtime::BlockNode& node) { node.state.Configure(options); });
   }
-  runtime::TransportConfig transport;
-  transport.kind = config_.consensus == HarmonyConsensus::kRaft
-                       ? runtime::TransportKind::kRaft
-                       : runtime::TransportKind::kBft;
-  transport.raft = config_.raft;
-  transport.bft = config_.bft;
-  transport_ = std::make_unique<runtime::Transport>(
-      sim, net, costs, nodes_.ids(), transport,
-      [this](size_t node_index, uint64_t seq, const std::string& cmd) {
-        OnEpochCommitted(nodes_.id_of(node_index), seq, cmd);
-      });
   if (config_.elasticity.enabled) {
-    for (sim::NodeId id : nodes_.ids()) MakeTracker(id);
+    for (sim::NodeId id : pipeline_.nodes().ids()) MakeTracker(id);
   }
   if (obs::MetricsRegistry* registry = sim_->metrics()) {
-    runtime::RegisterSystemStats(registry, "harmony", &stats_);
-    mempool_.AttachMetrics(registry, "harmony.mempool");
-    inflight_.AttachMetrics(registry, "harmony.inflight");
-    runtime::RegisterNodeCpuGauges(registry, "harmony", &nodes_,
-                                   [](Node& node) { return &node.cpu; });
     registry->GetCallbackGauge("harmony.epochs", [this] {
       return static_cast<double>(epoch_stats_.epochs);
     });
@@ -77,39 +67,37 @@ HarmonySystem::HarmonySystem(sim::Simulator* sim, sim::SimNetwork* net,
   }
 }
 
-void HarmonySystem::Start() {
-  transport_->Start();
-  sim_->Schedule(config_.epoch_interval, [this] { SequencerTick(); });
-}
-
-bool HarmonySystem::HasSequencer() const {
-  auto* transport = const_cast<runtime::Transport*>(transport_.get());
-  if (transport->raft() != nullptr) {
-    return transport->raft()->leader() != nullptr;
-  }
-  return transport->bft()->primary() != nullptr;
-}
-
-sim::NodeId HarmonySystem::SequencerId() const {
-  auto* transport = const_cast<runtime::Transport*>(transport_.get());
-  if (transport->raft() != nullptr) {
-    auto* leader = transport->raft()->leader();
-    return leader != nullptr ? leader->id() : nodes_.id_of(0);
-  }
-  auto* primary = transport->bft()->primary();
-  return primary != nullptr ? primary->id() : nodes_.id_of(0);
-}
-
-sim::NodeId HarmonySystem::CompletionId() const {
-  // A fixed non-sequencer replica acts as the client's local peer, so the
-  // observed latency includes the deterministic-execution (commit) phase.
-  // Pinned to the construction-time span: a replica joining later must not
-  // inherit completion duty while it is still catching up.
-  sim::NodeId completion = nodes_.id_of(config_.num_nodes - 1);
-  if (completion == SequencerId() && config_.num_nodes > 1) {
-    completion = nodes_.id_of(config_.num_nodes - 2);
-  }
-  return completion;
+runtime::BlockPipeline::Hooks HarmonySystem::MakeHooks(
+    sim::Simulator* sim, const sim::CostModel* costs) {
+  runtime::BlockPipeline::Hooks hooks;
+  hooks.cut_cost = [costs](runtime::BlockNode&, const core::TxnRequest&,
+                           ledger::LedgerTxn*) {
+    // The epoch goes to consensus UNEXECUTED: the sequencer only assembles
+    // and signs, so cutting costs per-txn message handling instead of
+    // Quorum's serial EVM pass.
+    return costs->msg_handling_us + costs->sig_verify_us;
+  };
+  hooks.apply = [this](sim::NodeId node, uint64_t seq, ledger::Block* block) {
+    return ApplyEpoch(node, seq, block);
+  };
+  hooks.stamp = [sim](const runtime::PendingTxn& pending, sim::NodeId node,
+                      sim::Time ordered_time, core::TxnResult* result) {
+    result->phases.Set(core::Phase::kProposal,
+                       pending.proposed_time - pending.submit_time);
+    result->phases.Set(core::Phase::kOrder,
+                       ordered_time - pending.proposed_time);
+    result->phases.Set(core::Phase::kExecute,
+                       result->finish_time - ordered_time);
+    obs::EmitPhaseSpan(sim, core::Phase::kProposal, node,
+                       pending.request.txn_id, pending.submit_time,
+                       pending.proposed_time);
+    obs::EmitPhaseSpan(sim, core::Phase::kOrder, node, pending.request.txn_id,
+                       pending.proposed_time, ordered_time);
+    obs::EmitPhaseSpan(sim, core::Phase::kExecute, node,
+                       pending.request.txn_id, ordered_time,
+                       result->finish_time);
+  };
+  return hooks;
 }
 
 runtime::ReplicaTracker* HarmonySystem::MakeTracker(sim::NodeId node) {
@@ -118,7 +106,7 @@ runtime::ReplicaTracker* HarmonySystem::MakeTracker(sim::NodeId node) {
       lifecycle::LifecycleMetrics::For(sim_->metrics(), "lifecycle.harmony"));
   if (config_.consensus == HarmonyConsensus::kRaft) {
     tracker->set_on_fold([this, node](uint64_t anchor, uint64_t term) {
-      transport_->raft()->node(node)->InstallSnapshot(anchor, term);
+      pipeline_.transport().raft()->node(node)->InstallSnapshot(anchor, term);
     });
   }
   trackers_.push_back(std::move(tracker));
@@ -127,84 +115,24 @@ runtime::ReplicaTracker* HarmonySystem::MakeTracker(sim::NodeId node) {
 
 sim::NodeId HarmonySystem::AddReplica(
     std::function<void(const runtime::JoinReport&)> done) {
-  sim::NodeId id = nodes_.Grow(sim_);
+  sim::NodeId id = pipeline_.nodes().Grow(sim_);
   runtime::ReplicaTracker* joiner = MakeTracker(id);
-  consensus::RaftNode* leader = transport_->raft()->leader();
-  sim::NodeId source = leader != nullptr ? leader->id() : nodes_.id_of(0);
+  runtime::Transport* transport = &pipeline_.transport();
+  sim::NodeId source = transport->LeaderId(pipeline_.nodes().id_of(0));
   runtime::StartElasticRaftJoin(
-      sim_, net_, transport_.get(), source, id, tracker(source), joiner,
+      sim_, net_, transport, source, id, tracker(source), joiner,
       config_.elasticity,
       [this, id](const std::map<std::string, std::string>& state) {
-        Node* node = &nodes_.at(id);
+        runtime::BlockNode* node = &pipeline_.node(id);
         for (const auto& [key, value] : state) node->state.Put(key, value);
       },
       std::move(done));
   return id;
 }
 
-void HarmonySystem::SequencerTick() {
-  if (!mempool_.empty() && HasSequencer()) {
-    CutAndOrderEpoch();
-  }
-  sim_->Schedule(config_.epoch_interval, [this] { SequencerTick(); });
-}
-
-void HarmonySystem::CutAndOrderEpoch() {
-  sim::NodeId sequencer_id = SequencerId();
-  Node* sequencer = &nodes_.at(sequencer_id);
-
-  ledger::Block block;
-  block.header.number = next_epoch_number_;
-  block.header.timestamp_us = static_cast<uint64_t>(sim_->Now());
-
-  // The epoch goes to consensus UNEXECUTED: the sequencer only assembles
-  // and signs — no pre-execution, so epoch cutting costs per-txn message
-  // handling instead of Quorum's serial EVM pass.
-  sim::Time cut_cost = 0;
-  runtime::BatchPolicy policy;
-  policy.max_txns = config_.max_epoch_txns;
-  policy.max_bytes = config_.max_epoch_bytes;
-  mempool_.Cut(policy, [&](PendingTxn pending) {
-    pending.proposed_time = sim_->Now();
-
-    ledger::LedgerTxn txn;
-    txn.txn_id = pending.request.txn_id;
-    txn.client_id = pending.request.client_id;
-    txn.payload = pending.request.Serialize();
-    txn.client_signature =
-        crypto::Signer(pending.request.client_id).Sign(txn.payload);
-    cut_cost += costs_->msg_handling_us + costs_->sig_verify_us;
-    uint64_t bytes = txn.ByteSize();
-    block.txns.push_back(std::move(txn));
-    uint64_t txn_id = pending.request.txn_id;
-    inflight_.Insert(txn_id, std::move(pending));
-    return bytes;
-  });
-  if (block.txns.empty()) return;
-  next_epoch_number_++;
-  block.SealTxnRoot();
-
-  std::string serialized = block.Serialize();
-  sequencer->cpu.Submit(cut_cost, [this, sequencer_id,
-                                   serialized = std::move(serialized)] {
-    if (transport_->raft() != nullptr) {
-      consensus::RaftNode* leader = transport_->raft()->leader();
-      if (leader == nullptr || leader->id() != sequencer_id) return;
-      leader->Propose(serialized, [](Status, uint64_t) {});
-    } else {
-      consensus::BftNode* primary = transport_->bft()->primary();
-      if (primary == nullptr) return;
-      primary->Submit(serialized, [](Status, uint64_t) {});
-    }
-  });
-}
-
-void HarmonySystem::OnEpochCommitted(sim::NodeId node_id, uint64_t seq,
-                                     const std::string& cmd) {
-  ledger::Block block;
-  if (!ledger::Block::Deserialize(cmd, &block)) return;
-  Node* node = &nodes_.at(node_id);
-  sim::Time ordered_time = sim_->Now();
+sim::Time HarmonySystem::ApplyEpoch(sim::NodeId node_id, uint64_t seq,
+                                    ledger::Block* block) {
+  runtime::BlockNode* node = &pipeline_.node(node_id);
 
   // Every replica (sequencer included — it never pre-executed) runs the
   // same deterministic schedule against its committed state. Blocks are
@@ -212,21 +140,21 @@ void HarmonySystem::OnEpochCommitted(sim::NodeId node_id, uint64_t seq,
   // epoch reads its predecessor's effects even while the modeled CPU is
   // still draining earlier epochs.
   std::vector<core::TxnRequest> batch;
-  batch.reserve(block.txns.size());
-  for (const auto& txn : block.txns) {
+  batch.reserve(block->txns.size());
+  for (const auto& txn : block->txns) {
     core::TxnRequest request;
     if (core::TxnRequest::Deserialize(txn.payload, &request)) {
       batch.push_back(std::move(request));
     }
   }
-  MptView view(&node->state);
+  runtime::MptView view(&node->state);
   txn::EpochOutcome outcome = executor_.ExecuteEpoch(batch, &view);
-  for (size_t i = 0; i < outcome.results.size() && i < block.txns.size();
+  for (size_t i = 0; i < outcome.results.size() && i < block->txns.size();
        i++) {
     const txn::EpochTxnResult& result = outcome.results[i];
-    block.txns[i].valid = result.valid;
-    block.txns[i].write_set.assign(result.writes.begin(),
-                                   result.writes.end());
+    block->txns[i].valid = result.valid;
+    block->txns[i].write_set.assign(result.writes.begin(),
+                                    result.writes.end());
     for (const auto& [key, value] : result.writes) {
       node->state.StagePut(key, value);  // staged in epoch order
     }
@@ -235,7 +163,7 @@ void HarmonySystem::OnEpochCommitted(sim::NodeId node_id, uint64_t seq,
   // staged keys pass through them, untouched subtrees are reused by digest,
   // and the root is byte-identical to per-write Puts (adt/mpt.h).
   node->state.CommitBatch();
-  block.header.state_digest = node->state.RootDigest();
+  block->header.state_digest = node->state.RootDigest();
 
   if (runtime::ReplicaTracker* t = tracker(node_id)) {
     std::vector<std::pair<std::string, std::string>> writes;
@@ -246,7 +174,8 @@ void HarmonySystem::OnEpochCommitted(sim::NodeId node_id, uint64_t seq,
     }
     uint64_t term = 0;
     if (config_.consensus == HarmonyConsensus::kRaft) {
-      consensus::RaftNode* raft = transport_->raft()->node(node_id);
+      consensus::RaftNode* raft =
+          pipeline_.transport().raft()->node(node_id);
       if (raft != nullptr) term = raft->EntryTerm(seq);
     }
     t->OnEntry(seq, term, writes);
@@ -255,7 +184,7 @@ void HarmonySystem::OnEpochCommitted(sim::NodeId node_id, uint64_t seq,
   // One replica (a fixed one, so the count is once per epoch) accumulates
   // the schedule statistics the ablation bench reports. Pinned to the
   // construction-time span so a joining replica doesn't skew the counts.
-  if (node_id == nodes_.id_of(config_.num_nodes - 1)) {
+  if (node_id == pipeline_.nodes().id_of(config_.num_nodes - 1)) {
     epoch_stats_.epochs++;
     epoch_stats_.scheduled_txns += outcome.results.size();
     epoch_stats_.conflict_edges += outcome.schedule.conflict_edges;
@@ -266,107 +195,7 @@ void HarmonySystem::OnEpochCommitted(sim::NodeId node_id, uint64_t seq,
 
   // The replica's engine is busy for the *multi-lane makespan*, not the
   // serial sum — this is where deterministic execution buys its headroom.
-  auto shared = std::make_shared<ledger::Block>(std::move(block));
-  node->cpu.Submit(outcome.makespan_us, [this, node_id, node, shared,
-                                         ordered_time] {
-    ledger::Block to_append = *shared;
-    to_append.header.number = node->chain.height();
-    to_append.header.parent = node->chain.TipDigest();
-    to_append.SealTxnRoot();
-    node->chain.Append(std::move(to_append));
-
-    if (node_id != CompletionId()) return;
-    for (const auto& txn : shared->txns) {
-      PendingTxn pending;
-      if (!inflight_.Take(txn.txn_id, &pending)) continue;
-      net_->Send(node_id, config_.client_node, 64,
-                 [this, node_id, pending = std::move(pending),
-                  valid = txn.valid, ordered_time]() mutable {
-                   core::TxnResult result;
-                   result.submit_time = pending.submit_time;
-                   result.finish_time = sim_->Now();
-                   result.phases.Set(core::Phase::kProposal,
-                                     pending.proposed_time -
-                                         pending.submit_time);
-                   result.phases.Set(core::Phase::kOrder,
-                                     ordered_time - pending.proposed_time);
-                   result.phases.Set(core::Phase::kExecute,
-                                     result.finish_time - ordered_time);
-                   obs::EmitPhaseSpan(sim_, core::Phase::kProposal, node_id,
-                                      pending.request.txn_id,
-                                      pending.submit_time,
-                                      pending.proposed_time);
-                   obs::EmitPhaseSpan(sim_, core::Phase::kOrder, node_id,
-                                      pending.request.txn_id,
-                                      pending.proposed_time, ordered_time);
-                   obs::EmitPhaseSpan(sim_, core::Phase::kExecute, node_id,
-                                      pending.request.txn_id, ordered_time,
-                                      result.finish_time);
-                   if (valid) {
-                     result.status = Status::Ok();
-                     stats_.committed++;
-                   } else {
-                     // The only abort class deterministic execution admits:
-                     // an application constraint, identical on all replicas.
-                     result.status = Status::Aborted("contract aborted");
-                     result.reason = core::AbortReason::kConstraint;
-                     stats_.aborted++;
-                     stats_.aborts_by_reason[result.reason]++;
-                   }
-                   pending.cb(result);
-                 });
-    }
-  });
-}
-
-void HarmonySystem::Submit(const core::TxnRequest& request,
-                           core::TxnCallback cb) {
-  PendingTxn pending;
-  pending.request = request;
-  pending.cb = std::move(cb);
-  pending.submit_time = sim_->Now();
-  // Client sends the signed transaction to the sequencer's mempool.
-  net_->Send(config_.client_node, SequencerId(), request.PayloadBytes() + 96,
-             [this, pending = std::move(pending)]() mutable {
-               mempool_.Push(std::move(pending));
-             });
-}
-
-void HarmonySystem::Query(const core::ReadRequest& request,
-                          core::ReadCallback cb) {
-  stats_.queries++;
-  sim::Time submit_time = sim_->Now();
-  // Reads route over the construction-time span only — a joiner still
-  // catching up must not serve stale reads.
-  sim::NodeId target = nodes_.id_of(request.client_id % config_.num_nodes);
-  net_->Send(config_.client_node, target, 64 + request.key.size(),
-             [this, target, key = request.key, cb = std::move(cb),
-              submit_time]() mutable {
-               // Native read path — no VM between the RPC layer and the
-               // storage engine (contrast quorum_query_us).
-               sim::Time cost = costs_->native_op_us + costs_->lsm_read_us;
-               sim_->Schedule(cost, [this, target, key, cb = std::move(cb),
-                                     submit_time]() mutable {
-                 std::string value;
-                 Status s = nodes_.at(target).state.Get(key, &value);
-                 net_->Send(target, config_.client_node, 64 + value.size(),
-                            [this, target, cb = std::move(cb), submit_time, s,
-                             value = std::move(value)] {
-                              core::ReadResult result;
-                              result.status = s;
-                              result.value = value;
-                              result.submit_time = submit_time;
-                              result.finish_time = sim_->Now();
-                              result.phases.Set(core::Phase::kRead,
-                                                result.finish_time -
-                                                    submit_time);
-                              obs::EmitPhaseSpan(sim_, core::Phase::kRead,
-                                                 target, 0, submit_time,
-                                                 result.finish_time);
-                              cb(result);
-                            });
-               });
-             });
+  return outcome.makespan_us;
 }
 
 }  // namespace dicho::systems

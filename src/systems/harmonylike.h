@@ -3,6 +3,7 @@
 
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "adt/mpt.h"
@@ -10,13 +11,11 @@
 #include "core/types.h"
 #include "ledger/ledger.h"
 #include "sim/cost_model.h"
-#include "sim/cpu.h"
 #include "sim/network.h"
 #include "sim/simulator.h"
+#include "systems/runtime/block_pipeline.h"
 #include "systems/runtime/elasticity.h"
-#include "systems/runtime/mempool.h"
 #include "systems/runtime/runtime.h"
-#include "systems/runtime/transport.h"
 #include "txn/deterministic.h"
 
 namespace dicho::systems {
@@ -85,19 +84,21 @@ class HarmonySystem : public core::TransactionalSystem {
   HarmonySystem(sim::Simulator* sim, sim::SimNetwork* net,
                 const sim::CostModel* costs, HarmonyConfig config);
 
-  void Start() override;
-  bool HasSequencer() const;
+  void Start() override { pipeline_.Start(); }
+  bool HasSequencer() const { return pipeline_.transport().HasLeader(); }
 
-  void Submit(const core::TxnRequest& request, core::TxnCallback cb) override;
-  void Query(const core::ReadRequest& request, core::ReadCallback cb) override;
-  const core::SystemStats& stats() const override { return stats_; }
+  void Submit(const core::TxnRequest& request, core::TxnCallback cb) override {
+    pipeline_.Submit(request, std::move(cb));
+  }
+  void Query(const core::ReadRequest& request, core::ReadCallback cb) override {
+    pipeline_.Query(request, std::move(cb));
+  }
+  const core::SystemStats& stats() const override { return pipeline_.stats(); }
   std::string name() const override { return "harmonylike"; }
 
   void Load(const std::string& key, const std::string& value) override {
-    nodes_.ForEach([&](sim::NodeId id, Node& node) {
-      node.state.Put(key, value);
-      if (runtime::ReplicaTracker* t = tracker(id)) t->OnLoad(key, value);
-    });
+    pipeline_.Load(key, value);
+    for (auto& t : trackers_) t->OnLoad(key, value);
   }
 
   /// Lifecycle (requires config.elasticity.enabled and Raft consensus):
@@ -108,58 +109,38 @@ class HarmonySystem : public core::TransactionalSystem {
   /// (PAPERS.md, "When Private Blockchain Meets Deterministic Database").
   sim::NodeId AddReplica(std::function<void(const runtime::JoinReport&)> done);
   runtime::ReplicaTracker* tracker(sim::NodeId node) {
-    size_t index = nodes_.index_of(node);
+    size_t index = pipeline_.nodes().index_of(node);
     return index < trackers_.size() ? trackers_[index].get() : nullptr;
   }
 
   const adt::MerklePatriciaTrie& state_of(sim::NodeId node) const {
-    return nodes_.at(node).state;
+    return pipeline_.node(node).state;
   }
   const ledger::Chain& chain_of(sim::NodeId node) const {
-    return nodes_.at(node).chain;
+    return pipeline_.node(node).chain;
   }
-  const std::vector<sim::NodeId>& node_ids() const { return nodes_.ids(); }
+  const std::vector<sim::NodeId>& node_ids() const {
+    return pipeline_.nodes().ids();
+  }
   const HarmonyEpochStats& epoch_stats() const { return epoch_stats_; }
-  size_t mempool_depth() const { return mempool_.size(); }
 
  private:
-  struct Node {
-    explicit Node(sim::Simulator* sim) : cpu(sim) {}
-    adt::MerklePatriciaTrie state;
-    ledger::Chain chain;
-    sim::CpuResource cpu;  // the replica's execution engine
-  };
-  struct PendingTxn {
-    core::TxnRequest request;
-    core::TxnCallback cb;
-    sim::Time submit_time = 0;
-    sim::Time proposed_time = 0;
-  };
-
-  sim::NodeId SequencerId() const;
-  sim::NodeId CompletionId() const;
+  runtime::BlockPipeline::Hooks MakeHooks(sim::Simulator* sim,
+                                          const sim::CostModel* costs);
   runtime::ReplicaTracker* MakeTracker(sim::NodeId node);
-  void SequencerTick();
-  void CutAndOrderEpoch();
-  void OnEpochCommitted(sim::NodeId node, uint64_t seq,
-                        const std::string& serialized);
+  /// Runs one ordered epoch on a replica; returns its multi-lane makespan.
+  sim::Time ApplyEpoch(sim::NodeId node, uint64_t seq, ledger::Block* block);
 
   sim::Simulator* sim_;
   sim::SimNetwork* net_;
-  const sim::CostModel* costs_;
   HarmonyConfig config_;
-  core::SystemStats stats_;
   HarmonyEpochStats epoch_stats_;
-  runtime::NodeSet<Node> nodes_;
-  /// Parallel to nodes_; empty when elasticity is disabled (the default).
+  /// Parallel to the replica set; empty when elasticity is disabled (the
+  /// default).
   std::vector<std::unique_ptr<runtime::ReplicaTracker>> trackers_;
-  std::unique_ptr<runtime::Transport> transport_;
   std::unique_ptr<contract::ContractRegistry> contracts_;
   txn::DeterministicExecutor executor_;
-
-  runtime::Mempool<PendingTxn> mempool_;
-  runtime::InflightTable<PendingTxn> inflight_;
-  uint64_t next_epoch_number_ = 0;
+  runtime::BlockPipeline pipeline_;
 };
 
 }  // namespace dicho::systems

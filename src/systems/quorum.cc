@@ -1,101 +1,89 @@
 #include "systems/quorum.h"
 
-#include <cassert>
-
-#include "crypto/signature.h"
+#include "crypto/sha256.h"
 #include "obs/trace.h"
 
 namespace dicho::systems {
 
 namespace {
 
-/// Read view over a node's MPT state.
-class MptView : public contract::StateView {
- public:
-  explicit MptView(const adt::MerklePatriciaTrie* state) : state_(state) {}
-  Status Get(const Slice& key, std::string* value) override {
-    return state_->Get(key, value);
-  }
-
- private:
-  const adt::MerklePatriciaTrie* state_;
-};
+runtime::BlockPipelineConfig PipelineConfig(const sim::CostModel* costs,
+                                            const QuorumConfig& config) {
+  runtime::BlockPipelineConfig pipeline;
+  pipeline.name = "quorum";
+  pipeline.base = runtime::kReplicaBase;
+  pipeline.num_nodes = config.num_nodes;
+  pipeline.transport.kind = config.consensus == QuorumConsensus::kRaft
+                                ? runtime::TransportKind::kRaft
+                                : runtime::TransportKind::kBft;
+  pipeline.transport.raft = config.raft;
+  pipeline.transport.bft = config.ibft;
+  pipeline.interval = config.block_interval;
+  pipeline.policy.max_txns = config.max_block_txns;
+  pipeline.policy.max_bytes = config.max_block_bytes;
+  pipeline.client_node = config.client_node;
+  pipeline.read_cost = costs->quorum_query_us;
+  pipeline.read_phase = core::Phase::kEvmRead;
+  return pipeline;
+}
 
 }  // namespace
 
 QuorumSystem::QuorumSystem(sim::Simulator* sim, sim::SimNetwork* net,
                            const sim::CostModel* costs, QuorumConfig config)
-    : sim_(sim),
-      net_(net),
-      costs_(costs),
+    : costs_(costs),
       config_(config),
-      nodes_(sim, runtime::kReplicaBase, config_.num_nodes),
       contracts_(contract::ContractRegistry::CreateDefault()),
-      mempool_(&stats_.stages),
-      inflight_(&stats_.stages) {
-  runtime::TransportConfig transport;
-  transport.kind = config_.consensus == QuorumConsensus::kRaft
-                       ? runtime::TransportKind::kRaft
-                       : runtime::TransportKind::kBft;
-  transport.raft = config_.raft;
-  transport.bft = config_.ibft;
-  transport_ = std::make_unique<runtime::Transport>(
-      sim, net, costs, nodes_.ids(), transport,
-      [this](size_t node_index, uint64_t, const std::string& cmd) {
-        OnBlockCommitted(nodes_.id_of(node_index), cmd);
-      });
-  if (obs::MetricsRegistry* registry = sim_->metrics()) {
-    runtime::RegisterSystemStats(registry, "quorum", &stats_);
-    mempool_.AttachMetrics(registry, "quorum.mempool");
-    inflight_.AttachMetrics(registry, "quorum.inflight");
-    runtime::RegisterNodeCpuGauges(registry, "quorum", &nodes_,
-                                   [](Node& node) { return &node.cpu; });
-  }
+      pipeline_(sim, net, costs, PipelineConfig(costs, config_),
+                MakeHooks(sim)) {}
+
+runtime::BlockPipeline::Hooks QuorumSystem::MakeHooks(sim::Simulator* sim) {
+  runtime::BlockPipeline::Hooks hooks;
+  hooks.cut_cost = [this](runtime::BlockNode& proposer,
+                          const core::TxnRequest& request,
+                          ledger::LedgerTxn* txn) {
+    // Serial pre-execution against the proposer's state, applied now: the
+    // proposer's head advances as it builds.
+    return ExecuteTxn(&proposer, request, txn, /*apply_writes=*/true);
+  };
+  hooks.seal = [this](NodeId proposer_id, ledger::Block* block) {
+    const runtime::BlockNode& proposer = pipeline_.node(proposer_id);
+    block->header.parent = proposer.chain.TipDigest();
+    block->header.state_digest = proposer.state.RootDigest();
+    // Remember which blocks this node built so it can skip re-execution
+    // when they commit (geth's miner does not re-process its own blocks).
+    locally_built_[proposer_id].insert(
+        crypto::DigestBytes(block->header.txn_root));
+  };
+  hooks.apply = [this](NodeId node, uint64_t, ledger::Block* block) {
+    return ApplyBlock(node, block);
+  };
+  hooks.stamp = [sim](const runtime::PendingTxn& pending, NodeId node, Time,
+                      core::TxnResult* result) {
+    result->phases.Set(core::Phase::kProposal,
+                       pending.proposed_time - pending.submit_time);
+    result->phases.Set(core::Phase::kConsensusCommit,
+                       result->finish_time - pending.proposed_time);
+    obs::EmitPhaseSpan(sim, core::Phase::kProposal, node,
+                       pending.request.txn_id, pending.submit_time,
+                       pending.proposed_time);
+    obs::EmitPhaseSpan(sim, core::Phase::kConsensusCommit, node,
+                       pending.request.txn_id, pending.proposed_time,
+                       result->finish_time);
+  };
+  hooks.on_tick = [this, sim] {
+    // Re-mint: txns whose block has not committed in time go back to the
+    // mempool for the next cut.
+    if (config_.reproposal_timeout > 0) {
+      pipeline_.RequeueProposedBefore(sim->Now() -
+                                      config_.reproposal_timeout);
+    }
+  };
+  return hooks;
 }
 
-void QuorumSystem::Start() {
-  transport_->Start();
-  sim_->Schedule(config_.block_interval, [this] { ProposerTick(); });
-}
-
-bool QuorumSystem::HasProposer() const {
-  auto* transport = const_cast<runtime::Transport*>(transport_.get());
-  if (transport->raft() != nullptr) {
-    return transport->raft()->leader() != nullptr;
-  }
-  return transport->bft()->primary() != nullptr;
-}
-
-NodeId QuorumSystem::ProposerId() const {
-  auto* transport = const_cast<runtime::Transport*>(transport_.get());
-  if (transport->raft() != nullptr) {
-    auto* leader = transport->raft()->leader();
-    return leader != nullptr ? leader->id() : nodes_.id_of(0);
-  }
-  auto* primary = transport->bft()->primary();
-  return primary != nullptr ? primary->id() : nodes_.id_of(0);
-}
-
-void QuorumSystem::ProposerTick() {
-  if (config_.reproposal_timeout > 0) RequeueExpiredProposals();
-  if (!mempool_.empty() && HasProposer()) {
-    CutAndProposeBlock();
-  }
-  sim_->Schedule(config_.block_interval, [this] { ProposerTick(); });
-}
-
-void QuorumSystem::RequeueExpiredProposals() {
-  Time cutoff = sim_->Now() - config_.reproposal_timeout;
-  std::vector<PendingTxn> stale = inflight_.ExtractIf(
-      [cutoff](uint64_t, const PendingTxn& pending) {
-        return pending.proposed_time <= cutoff;
-      });
-  for (PendingTxn& pending : stale) {
-    mempool_.Push(std::move(pending));
-  }
-}
-
-Time QuorumSystem::ExecuteTxn(Node* node, const core::TxnRequest& request,
+Time QuorumSystem::ExecuteTxn(runtime::BlockNode* node,
+                              const core::TxnRequest& request,
                               ledger::LedgerTxn* out, bool apply_writes) {
   contract::Contract* contract = contracts_->Lookup(
       request.contract.empty() ? "ycsb" : request.contract);
@@ -104,7 +92,7 @@ Time QuorumSystem::ExecuteTxn(Node* node, const core::TxnRequest& request,
     out->valid = false;
     return cost;
   }
-  MptView view(&node->state);
+  runtime::MptView view(&node->state);
   contract::WriteSet writes;
   Status s = contract->Execute(request, &view, &writes, nullptr);
 
@@ -134,196 +122,32 @@ Time QuorumSystem::ExecuteTxn(Node* node, const core::TxnRequest& request,
   return cost;
 }
 
-void QuorumSystem::CutAndProposeBlock() {
-  NodeId proposer_id = ProposerId();
-  Node* proposer = &nodes_.at(proposer_id);
-
-  ledger::Block block;
-  block.header.number = next_block_number_;
-  block.header.parent = proposer->chain.TipDigest();
-  block.header.timestamp_us = static_cast<uint64_t>(sim_->Now());
-
-  Time exec_cost = 0;
-  runtime::BatchPolicy policy;
-  policy.max_txns = config_.max_block_txns;
-  policy.max_bytes = config_.max_block_bytes;
-  mempool_.Cut(policy, [&](PendingTxn pending) {
-    pending.proposed_time = sim_->Now();
-
-    ledger::LedgerTxn txn;
-    txn.txn_id = pending.request.txn_id;
-    txn.client_id = pending.request.client_id;
-    txn.payload = pending.request.Serialize();
-    txn.client_signature =
-        crypto::Signer(pending.request.client_id).Sign(txn.payload);
-    // Serial pre-execution against the proposer's state (applied now — the
-    // proposer's chain head advances as it builds).
-    exec_cost += ExecuteTxn(proposer, pending.request, &txn,
-                            /*apply_writes=*/true);
-    uint64_t bytes = txn.ByteSize();
-    block.txns.push_back(std::move(txn));
-    uint64_t txn_id = pending.request.txn_id;
-    inflight_.Insert(txn_id, std::move(pending));
-    return bytes;
-  });
-  if (block.txns.empty()) return;
-  next_block_number_++;
-  block.header.state_digest = proposer->state.RootDigest();
-  block.SealTxnRoot();
-
-  // Remember which blocks this node built so it can skip re-execution when
-  // they commit (geth's miner does not re-process its own blocks).
-  locally_built_[proposer_id].insert(
-      crypto::DigestBytes(block.header.txn_root));
-
-  std::string serialized = block.Serialize();
-  // The pre-execution work occupies the proposer's serial thread; the block
-  // goes to consensus when it finishes.
-  proposer->cpu.Submit(exec_cost, [this, proposer_id,
-                                   serialized = std::move(serialized)] {
-    if (transport_->raft() != nullptr) {
-      consensus::RaftNode* leader = transport_->raft()->leader();
-      if (leader == nullptr || leader->id() != proposer_id) return;
-      leader->Propose(serialized, [](Status, uint64_t) {});
-    } else {
-      consensus::BftNode* primary = transport_->bft()->primary();
-      if (primary == nullptr) return;
-      primary->Submit(serialized, [](Status, uint64_t) {});
-    }
-  });
-}
-
-void QuorumSystem::OnBlockCommitted(NodeId node_id, const std::string& cmd) {
-  ledger::Block block;
-  if (!ledger::Block::Deserialize(cmd, &block)) return;
-  Node* node = &nodes_.at(node_id);
-
+Time QuorumSystem::ApplyBlock(NodeId node_id, ledger::Block* block) {
   // The proposer already executed this block while building it; skip its
   // re-execution.
   auto& built = locally_built_[node_id];
-  auto built_it = built.find(crypto::DigestBytes(block.header.txn_root));
-  bool already_executed = built_it != built.end();
-  if (already_executed) built.erase(built_it);
-
-  Time cost = 0;
-  if (!already_executed) {
-    for (const auto& txn : block.txns) {
-      core::TxnRequest request;
-      if (!core::TxnRequest::Deserialize(txn.payload, &request)) continue;
-      ledger::LedgerTxn scratch;
-      cost += ExecuteTxn(node, request, &scratch, /*apply_writes=*/false);
-    }
-    // Apply the block's write sets (deterministic replay).
-    for (const auto& txn : block.txns) {
-      if (!txn.valid) continue;
-      for (const auto& [key, value] : txn.write_set) {
-        node->state.Put(key, value);
-      }
-    }
+  auto built_it = built.find(crypto::DigestBytes(block->header.txn_root));
+  if (built_it != built.end()) {
+    built.erase(built_it);
+    return 0;
   }
 
-  // Serial commit on the node's execution thread.
-  auto shared = std::make_shared<ledger::Block>(std::move(block));
-  node->cpu.Submit(cost, [this, node_id, node, shared] {
-    // Fix up the parent pointer for the node's own chain (proposer chains
-    // can briefly diverge in IBFT view changes; benches keep it linear).
-    ledger::Block to_append = *shared;
-    to_append.header.number = node->chain.height();
-    to_append.header.parent = node->chain.TipDigest();
-    to_append.SealTxnRoot();
-    node->chain.Append(std::move(to_append));
-
-    // A fixed non-proposer node acts as the client's local peer: completion
-    // fires when it has committed, so the latency includes the
-    // re-execution (commit) phase like a real client observes.
-    NodeId completion = nodes_.ids().back();
-    if (completion == ProposerId() && nodes_.size() > 1) {
-      completion = nodes_.id_of(nodes_.size() - 2);
+  runtime::BlockNode* node = &pipeline_.node(node_id);
+  Time cost = 0;
+  for (const auto& txn : block->txns) {
+    core::TxnRequest request;
+    if (!core::TxnRequest::Deserialize(txn.payload, &request)) continue;
+    ledger::LedgerTxn scratch;
+    cost += ExecuteTxn(node, request, &scratch, /*apply_writes=*/false);
+  }
+  // Apply the block's write sets (deterministic replay).
+  for (const auto& txn : block->txns) {
+    if (!txn.valid) continue;
+    for (const auto& [key, value] : txn.write_set) {
+      node->state.Put(key, value);
     }
-    if (node_id != completion) return;
-    for (const auto& txn : shared->txns) {
-      PendingTxn pending;
-      if (!inflight_.Take(txn.txn_id, &pending)) continue;
-      net_->Send(node_id, config_.client_node, 64,
-                 [this, node_id, pending = std::move(pending),
-                  valid = txn.valid]() mutable {
-                   core::TxnResult result;
-                   result.submit_time = pending.submit_time;
-                   result.finish_time = sim_->Now();
-                   result.phases.Set(core::Phase::kProposal,
-                                     pending.proposed_time -
-                                         pending.submit_time);
-                   result.phases.Set(core::Phase::kConsensusCommit,
-                                     result.finish_time -
-                                         pending.proposed_time);
-                   obs::EmitPhaseSpan(sim_, core::Phase::kProposal, node_id,
-                                      pending.request.txn_id,
-                                      pending.submit_time,
-                                      pending.proposed_time);
-                   obs::EmitPhaseSpan(sim_, core::Phase::kConsensusCommit,
-                                      node_id, pending.request.txn_id,
-                                      pending.proposed_time,
-                                      result.finish_time);
-                   if (valid) {
-                     result.status = Status::Ok();
-                     stats_.committed++;
-                   } else {
-                     result.status = Status::Aborted("contract aborted");
-                     result.reason = core::AbortReason::kConstraint;
-                     stats_.aborted++;
-                     stats_.aborts_by_reason[result.reason]++;
-                   }
-                   pending.cb(result);
-                 });
-    }
-  });
-}
-
-void QuorumSystem::Submit(const core::TxnRequest& request,
-                          core::TxnCallback cb) {
-  PendingTxn pending;
-  pending.request = request;
-  pending.cb = std::move(cb);
-  pending.submit_time = sim_->Now();
-  // Client sends the signed transaction to the proposer's mempool.
-  net_->Send(config_.client_node, ProposerId(), request.PayloadBytes() + 96,
-             [this, pending = std::move(pending)]() mutable {
-               mempool_.Push(std::move(pending));
-             });
-}
-
-void QuorumSystem::Query(const core::ReadRequest& request,
-                         core::ReadCallback cb) {
-  stats_.queries++;
-  Time submit_time = sim_->Now();
-  NodeId target = nodes_.id_of(request.client_id % nodes_.size());
-  net_->Send(config_.client_node, target, 64 + request.key.size(),
-             [this, target, key = request.key, cb = std::move(cb),
-              submit_time]() mutable {
-               // Served concurrently by the node's RPC layer (no consensus).
-               sim_->Schedule(costs_->quorum_query_us, [this, target, key,
-                                                        cb = std::move(cb),
-                                                        submit_time]() mutable {
-                 std::string value;
-                 Status s = nodes_.at(target).state.Get(key, &value);
-                 net_->Send(target, config_.client_node, 64 + value.size(),
-                            [this, target, cb = std::move(cb), submit_time, s,
-                             value = std::move(value)] {
-                              core::ReadResult result;
-                              result.status = s;
-                              result.value = value;
-                              result.submit_time = submit_time;
-                              result.finish_time = sim_->Now();
-                              result.phases.Set(core::Phase::kEvmRead,
-                                                result.finish_time -
-                                                    submit_time);
-                              obs::EmitPhaseSpan(sim_, core::Phase::kEvmRead,
-                                                 target, 0, submit_time,
-                                                 result.finish_time);
-                              cb(result);
-                            });
-               });
-             });
+  }
+  return cost;
 }
 
 }  // namespace dicho::systems

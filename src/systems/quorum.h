@@ -5,6 +5,7 @@
 #include <memory>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "adt/mpt.h"
@@ -12,12 +13,10 @@
 #include "core/types.h"
 #include "ledger/ledger.h"
 #include "sim/cost_model.h"
-#include "sim/cpu.h"
 #include "sim/network.h"
 #include "sim/simulator.h"
-#include "systems/runtime/mempool.h"
+#include "systems/runtime/block_pipeline.h"
 #include "systems/runtime/runtime.h"
-#include "systems/runtime/transport.h"
 
 namespace dicho::systems {
 
@@ -61,12 +60,16 @@ class QuorumSystem : public core::TransactionalSystem {
   QuorumSystem(sim::Simulator* sim, sim::SimNetwork* net,
                const sim::CostModel* costs, QuorumConfig config);
 
-  void Start() override;
-  bool HasProposer() const;
+  void Start() override { pipeline_.Start(); }
+  bool HasProposer() const { return pipeline_.transport().HasLeader(); }
 
-  void Submit(const core::TxnRequest& request, core::TxnCallback cb) override;
-  void Query(const core::ReadRequest& request, core::ReadCallback cb) override;
-  const core::SystemStats& stats() const override { return stats_; }
+  void Submit(const core::TxnRequest& request, core::TxnCallback cb) override {
+    pipeline_.Submit(request, std::move(cb));
+  }
+  void Query(const core::ReadRequest& request, core::ReadCallback cb) override {
+    pipeline_.Query(request, std::move(cb));
+  }
+  const core::SystemStats& stats() const override { return pipeline_.stats(); }
   std::string name() const override {
     return config_.consensus == QuorumConsensus::kRaft ? "quorum-raft"
                                                        : "quorum-ibft";
@@ -74,65 +77,34 @@ class QuorumSystem : public core::TransactionalSystem {
 
   /// Pre-populates every node's state trie directly (benchmark setup).
   void Load(const std::string& key, const std::string& value) override {
-    runtime::SeedAllReplicas(&nodes_,
-                             [&](Node& node) { node.state.Put(key, value); });
+    pipeline_.Load(key, value);
   }
 
   /// Per-node authenticated state and ledger (full replication).
   const adt::MerklePatriciaTrie& state_of(NodeId node) const {
-    return nodes_.at(node).state;
+    return pipeline_.node(node).state;
   }
   const ledger::Chain& chain_of(NodeId node) const {
-    return nodes_.at(node).chain;
+    return pipeline_.node(node).chain;
   }
-  /// Ledger + archival state bytes on one node (Fig. 12-style accounting).
-  uint64_t LedgerBytes() const { return nodes_.at_index(0).chain.TotalBytes(); }
-  uint64_t StateBytes() const {
-    return nodes_.at_index(0).state.TotalNodeBytes();
+  const std::vector<NodeId>& node_ids() const {
+    return pipeline_.nodes().ids();
   }
-  size_t mempool_depth() const { return mempool_.size(); }
 
  private:
-  struct Node {
-    explicit Node(sim::Simulator* sim) : cpu(sim) {}
-    adt::MerklePatriciaTrie state;
-    ledger::Chain chain;
-    sim::CpuResource cpu;  // the node's serial execution thread
-  };
-  struct PendingTxn {
-    core::TxnRequest request;
-    core::TxnCallback cb;
-    Time submit_time;
-    Time proposed_time = 0;
-  };
-
-  NodeId ProposerId() const;
-  void ProposerTick();
-  void RequeueExpiredProposals();
-  void CutAndProposeBlock();
+  runtime::BlockPipeline::Hooks MakeHooks(sim::Simulator* sim);
   /// Executes `request` against node's MPT for real; returns modeled cost
   /// and fills the ledger transaction's write set / status.
-  Time ExecuteTxn(Node* node, const core::TxnRequest& request,
+  Time ExecuteTxn(runtime::BlockNode* node, const core::TxnRequest& request,
                   ledger::LedgerTxn* out, bool apply_writes);
-  void OnBlockCommitted(NodeId node, const std::string& serialized);
+  Time ApplyBlock(NodeId node, ledger::Block* block);
 
-  sim::Simulator* sim_;
-  sim::SimNetwork* net_;
   const sim::CostModel* costs_;
   QuorumConfig config_;
-  core::SystemStats stats_;
-  runtime::NodeSet<Node> nodes_;
-  /// Raft or IBFT via the shared transport layer; block routing goes
-  /// through the raw accessors (the proposer must be the current
-  /// leader/primary, not a generic entry node).
-  std::unique_ptr<runtime::Transport> transport_;
   std::unique_ptr<contract::ContractRegistry> contracts_;
-
-  runtime::Mempool<PendingTxn> mempool_;
-  runtime::InflightTable<PendingTxn> inflight_;  // txn_id -> waiting client
   // node -> txn roots of blocks that node built (skip re-execution).
   std::map<NodeId, std::set<std::string>> locally_built_;
-  uint64_t next_block_number_ = 0;
+  runtime::BlockPipeline pipeline_;
 };
 
 }  // namespace dicho::systems

@@ -129,6 +129,23 @@ void Transport::Disseminate(const std::string& payload) {
   }
 }
 
+bool Transport::HasLeader() const {
+  if (raft_ != nullptr) return raft_->leader() != nullptr;
+  return bft_ != nullptr && bft_->primary() != nullptr;
+}
+
+sim::NodeId Transport::LeaderId(sim::NodeId fallback) const {
+  if (raft_ != nullptr) {
+    consensus::RaftNode* leader = raft_->leader();
+    return leader != nullptr ? leader->id() : fallback;
+  }
+  if (bft_ != nullptr) {
+    consensus::BftNode* primary = bft_->primary();
+    return primary != nullptr ? primary->id() : fallback;
+  }
+  return fallback;
+}
+
 consensus::RaftNode* Transport::AddRaftReplica(sim::NodeId id) {
   if (raft_ == nullptr) return nullptr;
   // Bootstrap config = the construction-time span: a joiner replaying

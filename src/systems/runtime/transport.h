@@ -55,10 +55,10 @@ struct TransportConfig {
 /// instance for `kind` and delivers committed payloads through
 /// apply(node_index, payload) on every replica in the agreed order.
 ///
-/// Systems with protocol-specific submit policies (Quorum routes blocks
-/// through the current proposer; etcd rejects writes leaderlessly instead
-/// of retrying) use the raw accessors; Disseminate() is the generic
-/// fire-and-forget policy.
+/// Systems with protocol-specific submit policies (BlockPipeline proposes
+/// only from the current leader/primary; etcd rejects writes leaderlessly
+/// instead of retrying) use the raw accessors; Disseminate() is the
+/// generic fire-and-forget policy.
 class Transport {
  public:
   /// apply(node_index, seq, payload): `seq` is the protocol's commit
@@ -84,6 +84,12 @@ class Transport {
   void Disseminate(const std::string& payload);
 
   TransportKind kind() const { return config_.kind; }
+
+  /// Whether the Raft group has a leader or the PBFT group a primary —
+  /// where ordered proposals must enter. False for other transports.
+  bool HasLeader() const;
+  /// The current Raft leader or PBFT primary, else `fallback`.
+  sim::NodeId LeaderId(sim::NodeId fallback) const;
   const std::vector<sim::NodeId>& node_ids() const { return node_ids_; }
 
   /// Lifecycle (raft transports only): constructs a joiner raft node wired

@@ -1,6 +1,7 @@
 #ifndef DICHO_TESTING_GOLDEN_H_
 #define DICHO_TESTING_GOLDEN_H_
 
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -19,6 +20,11 @@ struct GoldenCase {
   std::string name;
   std::string (*run)();
 };
+
+/// gtest's printer for GoldenCase parameters: the case name. The default
+/// dumps the struct's bytes, pointers included, so test ids would change
+/// from run to run.
+inline void PrintTo(const GoldenCase& c, std::ostream* os) { *os << c.name; }
 
 /// Registry of every golden case (one JSON file per case under
 /// tests/golden/). Covers all six concrete systems plus one HybridSystem

@@ -165,6 +165,12 @@ FaultSchedule GenerateSchedule(uint64_t seed, const ScheduleConfig& config) {
       case FaultAction::Kind::kJitterRestore:
         jittering = false;
         break;
+      case FaultAction::Kind::kJoin:
+      case FaultAction::Kind::kLeave:
+      case FaultAction::Kind::kDrain:
+        // GenerateSchedule never puts lifecycle actions on its menu; the
+        // elasticity scenarios add them to their schedules themselves.
+        break;
     }
     schedule.actions.push_back(std::move(action));
     t += rng.Exponential(config.mean_step_gap);

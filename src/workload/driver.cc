@@ -7,13 +7,6 @@
 
 namespace dicho::workload {
 
-const Histogram& RunMetrics::phase_us(const std::string& name) const {
-  core::Phase phase;
-  if (core::ParsePhaseName(name, &phase)) return phase_hist[static_cast<size_t>(phase)];
-  static const Histogram kEmpty;
-  return kEmpty;
-}
-
 std::string RunMetrics::Summary() {
   char buf[256];
   snprintf(buf, sizeof(buf),

@@ -61,9 +61,6 @@ struct RunMetrics {
   const Histogram& phase(core::Phase p) const {
     return phase_hist[static_cast<size_t>(p)];
   }
-  /// Name-keyed shim ("execute", "order", ...) so bench printf code stays
-  /// readable; unknown names map to a shared empty histogram.
-  const Histogram& phase_us(const std::string& name) const;
 
   double AbortRate() const {
     uint64_t total = committed + aborted;

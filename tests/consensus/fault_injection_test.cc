@@ -152,6 +152,9 @@ TEST(PbftLossyNetworkTest, SafetyUnderLossAndCrash) {
                   Nemesis::Hooks{
                       [&](sim::NodeId id) { cluster->node(id)->Crash(); },
                       [&](sim::NodeId id) { cluster->node(id)->Restart(); },
+                      /*join=*/nullptr,
+                      /*leave=*/nullptr,
+                      /*drain=*/nullptr,
                   });
   // One crash mid-stream (f = 1): node 3 dies while request 5 is in flight.
   nemesis.Arm(LossAndOneCrashSchedule(0.05, 3, 1500 * sim::kMs));

@@ -59,8 +59,8 @@ TEST(FabricPolicyTest, SaturationInflatesValidationPhase) {
   auto unsat = RunFabric(config, 400);
   auto sat = RunFabric(config, 2500);
   // Fig. 8a: the validate phase inflates by queueing once saturated.
-  EXPECT_GT(sat.phase_us("validate").Mean(),
-            unsat.phase_us("validate").Mean() * 3);
+  EXPECT_GT(sat.phase(core::Phase::kValidate).Mean(),
+            unsat.phase(core::Phase::kValidate).Mean() * 3);
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 #include <string>
 
 #include "crypto/sha256.h"
+#include "tests/systems/replica_convergence.h"
 #include "workload/driver.h"
 #include "workload/workload.h"
 
@@ -69,18 +70,7 @@ TEST(HarmonySystemTest, ReplicasConvergeToIdenticalStateAndChain) {
   EXPECT_EQ(h.system->stats().committed, 40u);
   EXPECT_EQ(h.system->stats().aborted, 0u);
 
-  const auto& ids = h.system->node_ids();
-  auto digest0 = h.system->state_of(ids[0]).RootDigest();
-  auto tip0 = h.system->chain_of(ids[0]).TipDigest();
-  for (sim::NodeId id : ids) {
-    EXPECT_EQ(crypto::DigestHex(h.system->state_of(id).RootDigest()),
-              crypto::DigestHex(digest0))
-        << id;
-    EXPECT_EQ(crypto::DigestHex(h.system->chain_of(id).TipDigest()),
-              crypto::DigestHex(tip0))
-        << id;
-    EXPECT_TRUE(h.system->chain_of(id).Verify().ok()) << id;
-  }
+  ExpectReplicasConverged(*h.system);
   // Scheduling happened: epochs were cut and conflicts were layered.
   EXPECT_GT(h.system->epoch_stats().epochs, 0u);
   EXPECT_GT(h.system->epoch_stats().conflict_edges, 0u);

@@ -1,10 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <utility>
 
 #include "systems/etcd.h"
 #include "systems/fabric.h"
 #include "systems/quorum.h"
+#include "tests/systems/replica_convergence.h"
 #include "systems/tidb.h"
 #include "workload/driver.h"
 #include "workload/workload.h"
@@ -180,6 +182,33 @@ TEST(QuorumSystemTest, QueriesAreMillisecondScale) {
   // ~4ms per the paper (well above database reads, far below updates).
   EXPECT_GT(result.latency(), 2 * sim::kMs);
   EXPECT_LT(result.latency(), 10 * sim::kMs);
+}
+
+TEST(QuorumSystemTest, ReplicasConvergeToIdenticalStateAndChain) {
+  for (auto [consensus, nodes] :
+       {std::pair{QuorumConsensus::kRaft, 5u},
+        std::pair{QuorumConsensus::kIbft, 4u}}) {
+    QuorumHarness h(consensus, nodes);
+    workload::YcsbConfig wcfg;
+    wcfg.record_count = 200;
+    wcfg.record_size = 100;
+    workload::YcsbWorkload workload(wcfg, 5);
+    for (uint64_t i = 0; i < wcfg.record_count; i++) {
+      h.system->Load(workload.KeyAt(i), workload.RandomValue());
+    }
+    workload::DriverConfig dcfg;
+    dcfg.num_clients = 16;
+    dcfg.warmup = 1 * sim::kSec;
+    dcfg.measure = 3 * sim::kSec;
+    workload::Driver driver(
+        &h.sim, h.system.get(), [&] { return workload.NextTxn(); }, dcfg);
+    workload::RunMetrics m = driver.Run();
+    // Let the blocks still in flight commit on every replica.
+    h.sim.RunFor(5 * sim::kSec);
+
+    EXPECT_GT(m.committed, 0u);
+    ExpectReplicasConverged(*h.system);
+  }
 }
 
 // ---------------------------------------------------------------------------
