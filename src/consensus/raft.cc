@@ -78,7 +78,7 @@ void RaftNode::BecomeFollower(uint64_t term) {
     }
     pending_.clear();
     config_change_inflight_ = 0;
-    transfer_target_ = 0;
+    transfer_target_ = kNoTransfer;
   }
   role_ = RaftRole::kFollower;
   ArmElectionTimer();
@@ -151,7 +151,7 @@ void RaftNode::BecomeLeader() {
   next_index_.clear();
   match_index_.clear();
   inflight_.clear();
-  transfer_target_ = 0;
+  transfer_target_ = kNoTransfer;
   for (NodeId peer : peers_) {
     next_index_[peer] = log_size() + 1;
     match_index_[peer] = 0;
@@ -230,18 +230,18 @@ bool RaftNode::TransferLeadership(NodeId target) {
   if (!std::binary_search(peers_.begin(), peers_.end(), target)) return false;
   transfer_target_ = target;
   MaybeCompleteTransfer(target);
-  if (transfer_target_ != 0) SendAppendTo(target);
+  if (transfer_target_ != kNoTransfer) SendAppendTo(target);
   return true;
 }
 
 void RaftNode::MaybeCompleteTransfer(NodeId from) {
-  if (transfer_target_ == 0 || from != transfer_target_) return;
+  if (from != transfer_target_) return;
   if (match_index_of(from) < log_size()) return;
   // Target is fully caught up: hand over with a TimeoutNow so it campaigns
   // immediately instead of waiting out a randomized timer.
   RaftNode* target = group_.at(from);
   uint64_t term = current_term_;
-  transfer_target_ = 0;
+  transfer_target_ = kNoTransfer;
   SendTo(from, kRespBytes, [target, term] { target->HandleTimeoutNow(term); });
 }
 
@@ -524,7 +524,7 @@ void RaftNode::ApplyConfigEntry(const std::string& cmd) {
       }
       role_ = RaftRole::kFollower;
       election_epoch_++;  // cancel any armed election timer
-      transfer_target_ = 0;
+      transfer_target_ = kNoTransfer;
       config_change_inflight_ = 0;
     } else {
       auto it = std::lower_bound(peers_.begin(), peers_.end(), cc.node);
@@ -533,7 +533,7 @@ void RaftNode::ApplyConfigEntry(const std::string& cmd) {
         next_index_.erase(cc.node);
         match_index_.erase(cc.node);
         inflight_.erase(cc.node);
-        if (transfer_target_ == cc.node) transfer_target_ = 0;
+        if (transfer_target_ == cc.node) transfer_target_ = kNoTransfer;
         // Quorum shrank: entries waiting on the removed node's ack may now
         // be committable.
         if (role_ == RaftRole::kLeader) AdvanceCommit();
@@ -606,7 +606,7 @@ void RaftNode::InstallSnapshot(uint64_t last_index, uint64_t last_term,
       pending_.clear();
       role_ = RaftRole::kFollower;
       election_epoch_++;  // cancel any armed election timer
-      transfer_target_ = 0;
+      transfer_target_ = kNoTransfer;
       config_change_inflight_ = 0;
       if (on_config_change_) on_config_change_(membership());
     }
@@ -643,7 +643,7 @@ void RaftNode::Restart() {
   flush_scheduled_ = false;
   next_index_.clear();
   match_index_.clear();
-  transfer_target_ = 0;
+  transfer_target_ = kNoTransfer;
   config_change_inflight_ = 0;
   if (!retired_) ArmElectionTimer();
 }

@@ -278,8 +278,10 @@ class RaftNode {
   /// Absolute log index of the uncommitted config-change entry this leader
   /// knows about (0 = none). Enforces the single-in-flight §6 rule.
   uint64_t config_change_inflight_ = 0;
-  /// Leader-transfer target awaiting catch-up + TimeoutNow (0 = none).
-  NodeId transfer_target_ = 0;
+  /// Leader-transfer target awaiting catch-up + TimeoutNow. The "none"
+  /// marker is not 0: node 0 is a valid transfer target.
+  static constexpr NodeId kNoTransfer = ~NodeId{0};
+  NodeId transfer_target_ = kNoTransfer;
   /// Leader-side propose times for the "raft.commit" trace span; populated
   /// only while the simulator carries a trace sink, so untraced runs never
   /// touch it.

@@ -53,6 +53,18 @@ struct CatchupStats {
   uint64_t TotalBytes() const {
     return control_bytes + manifest_bytes + chunk_bytes + log_bytes;
   }
+  /// Sums another round into this one (multi-round catch-ups).
+  CatchupStats& operator+=(const CatchupStats& round) {
+    control_bytes += round.control_bytes;
+    manifest_bytes += round.manifest_bytes;
+    chunk_bytes += round.chunk_bytes;
+    chunks_fetched += round.chunks_fetched;
+    chunks_reused += round.chunks_reused;
+    log_entries += round.log_entries;
+    log_bytes += round.log_bytes;
+    retries += round.retries;
+    return *this;
+  }
 };
 
 struct TransferConfig {

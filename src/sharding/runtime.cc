@@ -265,7 +265,8 @@ ShardExecutor::ShardExecutor(sim::Simulator* sim, sim::SimNetwork* net,
   systems::runtime::TransportConfig transport;
   transport.kind = config_.bft ? systems::runtime::TransportKind::kBft
                                : systems::runtime::TransportKind::kRaft;
-  transport.raft = config_.raft;
+  transport.raft = systems::runtime::RaftLifecycle::GroupConfig(
+      config_.raft, config_.elasticity);
   transport.bft = config_.bft_config;
   transport_ = std::make_unique<systems::runtime::Transport>(
       sim, net, costs, nodes_.ids(), transport,
@@ -273,64 +274,25 @@ ShardExecutor::ShardExecutor(sim::Simulator* sim, sim::SimNetwork* net,
         // The shard group replicates the epoch order; the shard's state is
         // materialized once, on the entry replica (deterministic execution
         // makes every replica's copy bit-identical by construction).
-        if (node_index != 0) return;
-        uint64_t term = 0;
-        if (tracker_ != nullptr && transport_->raft() != nullptr) {
-          term = transport_->raft()->node(nodes_.id_of(0))->EntryTerm(seq);
-        }
-        OnOrdered(seq, term, cmd);
+        if (node_index == 0) OnOrdered(seq, cmd);
       });
-  if (config_.elasticity.enabled) {
-    tracker_ = std::make_unique<systems::runtime::ReplicaTracker>(
-        &config_.elasticity,
-        lifecycle::LifecycleMetrics::For(sim_->metrics(), "lifecycle.shard"));
-    // One fold compacts the whole group at the entry replica's anchor:
-    // nodes applied past it self-compact, committed-but-unapplied nodes
-    // skip (their entries still flow through apply), and laggards jump
-    // forward — harmless here because only the entry replica materializes
-    // state.
-    tracker_->set_on_fold([this](uint64_t anchor, uint64_t term) {
-      if (transport_->raft() == nullptr) return;
-      for (consensus::RaftNode* node : transport_->raft()->all()) {
-        node->InstallSnapshot(anchor, term);
-      }
-    });
+  if (config_.elasticity.enabled && !config_.bft) {
+    lifecycle_ = std::make_unique<systems::runtime::RaftLifecycle>(
+        sim, net, transport_.get(), &config_.elasticity, "lifecycle.shard",
+        /*install=*/nullptr);
   }
+}
+
+void ShardExecutor::Start() {
+  transport_->Start();
+  if (lifecycle_ != nullptr) lifecycle_->Start();
 }
 
 sim::NodeId ShardExecutor::AddReplica(
     std::function<void(const systems::runtime::JoinReport&)> done) {
   sim::NodeId id = nodes_.Grow(sim_);
-  joiner_trackers_.push_back(
-      std::make_unique<systems::runtime::ReplicaTracker>(
-          &config_.elasticity,
-          lifecycle::LifecycleMetrics::For(sim_->metrics(),
-                                           "lifecycle.shard")));
-  systems::runtime::StartElasticRaftJoin(
-      sim_, net_, transport_.get(), nodes_.id_of(0), id, tracker_.get(),
-      joiner_trackers_.back().get(), config_.elasticity,
-      [](const std::map<std::string, std::string>&) {
-        // Shard state is materialized once per group; the joiner only
-        // contributes a consensus vote.
-      },
-      std::move(done));
+  lifecycle_->Join(id, std::move(done));
   return id;
-}
-
-void ShardExecutor::TrackEpoch(
-    const PendingEpoch& pending,
-    std::vector<std::pair<std::string, std::string>> writes) {
-  if (tracker_ == nullptr) return;
-  if (pending.seq > tracker_->applied_seq()) {
-    tracker_->OnEntry(pending.seq, pending.term, writes);
-  } else {
-    // The group committed this epoch at a lower slot than an
-    // already-tracked one (epochs order by sequencer number, commits by
-    // group slot — they can cross under churn). Keep the shadow state
-    // right without rewinding the anchor; these writes ride in the next
-    // fold's chunks instead of the log tail.
-    for (const auto& [key, value] : writes) tracker_->OnLoad(key, value);
-  }
 }
 
 void ShardExecutor::ConnectPeers(const std::vector<ShardExecutor*>& peers) {
@@ -370,8 +332,7 @@ void ShardExecutor::ProposeRetry(uint64_t number) {
                  [this, number] { ProposeRetry(number); });
 }
 
-void ShardExecutor::OnOrdered(uint64_t seq, uint64_t term,
-                              const std::string& payload) {
+void ShardExecutor::OnOrdered(uint64_t seq, const std::string& payload) {
   EpochBatch batch;
   if (!EpochBatch::Deserialize(payload, &batch)) return;
   if (batch.number < next_epoch_ || ordered_.count(batch.number) > 0) {
@@ -382,7 +343,6 @@ void ShardExecutor::OnOrdered(uint64_t seq, uint64_t term,
   pending.serialized = payload;
   pending.ordered_time = sim_->Now();
   pending.seq = seq;
-  pending.term = term;
   uint64_t number = batch.number;
   pending.batch = std::move(batch);
   ordered_.emplace(number, std::move(pending));
@@ -489,7 +449,9 @@ void ShardExecutor::TryAdvance() {
         for (const auto& [key, value] : result.writes) {
           if (planner_->partitioner()->ShardOf(key) == config_.shard) {
             state_.StagePut(key, value);
-            if (tracker_ != nullptr) tracked_writes.emplace_back(key, value);
+            if (lifecycle_ != nullptr) {
+              tracked_writes.emplace_back(key, value);
+            }
           }
         }
       }
@@ -524,7 +486,14 @@ void ShardExecutor::TryAdvance() {
       });
     }
 
-    TrackEpoch(pending, std::move(tracked_writes));
+    if (lifecycle_ != nullptr) {
+      // Epochs apply in sequencer order, which can trail the group's slot
+      // order under churn: a slot at or below the tracked one rides in the
+      // next fold's chunks (OnApply), and the view recorded with an epoch
+      // may run ahead of its slot by a later config change — which only
+      // renumbers a joiner's membership version.
+      lifecycle_->OnApply(EntryId(), pending.seq, tracked_writes);
+    }
     epoch_digests_.push_back(batch.Digest());
     if (config_.record_payloads) {
       applied_payloads_.push_back(pending.serialized);

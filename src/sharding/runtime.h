@@ -265,7 +265,7 @@ class ShardExecutor {
                 const contract::ContractRegistry* contracts, Config config,
                 ShardingStats* stats, AppliedFn on_applied);
 
-  void Start() { transport_->Start(); }
+  void Start();
 
   /// Wires the one-shot ReadForward mesh. `peers` is indexed by shard id
   /// (this shard's own slot is ignored). Call once, after all executors
@@ -279,7 +279,7 @@ class ShardExecutor {
 
   void Load(const std::string& key, const std::string& value) {
     state_.Put(key, value);
-    if (tracker_ != nullptr) tracker_->OnLoad(key, value);
+    if (lifecycle_ != nullptr) lifecycle_->OnLoad(key, value);
   }
 
   uint32_t shard() const { return config_.shard; }
@@ -309,15 +309,17 @@ class ShardExecutor {
 
   /// Lifecycle (requires config.elasticity.enabled and a Raft group):
   /// scales this shard's replication group out by one. Shard state is
-  /// materialized once per group, so the joiner's data plane is just the
-  /// group tracker's snapshot + log-tail transfer (install is a no-op);
-  /// what the joiner really gains is a consensus vote — Raft §6
-  /// single-server admission with a snapshot anchored at the group's last
-  /// fold.
+  /// materialized once per group, on the entry replica, so the joiner's
+  /// data plane is just a tracker snapshot + log-tail transfer with nothing
+  /// to install; what the joiner really gains is a consensus vote — Raft
+  /// §6 single-server admission.
   sim::NodeId AddReplica(
       std::function<void(const systems::runtime::JoinReport&)> done);
-  /// The shard group's lifecycle tracker (null when elasticity is off).
-  systems::runtime::ReplicaTracker* tracker() { return tracker_.get(); }
+  /// The entry replica's lifecycle tracker, which follows the shard state
+  /// (null when elasticity is off).
+  systems::runtime::ReplicaTracker* tracker() {
+    return lifecycle_ != nullptr ? lifecycle_->tracker(EntryId()) : nullptr;
+  }
 
  private:
   /// Buffered, not-yet-executed epoch.
@@ -326,16 +328,12 @@ class ShardExecutor {
     std::string serialized;
     sim::Time ordered_time = 0;
     bool forwards_sent = false;
-    /// Consensus slot (raft log index / BFT sequence) and term the group
-    /// committed this epoch at — the tracker's snapshot anchor currency.
+    /// Consensus slot (raft log index / BFT sequence) the group committed
+    /// this epoch at — the tracker's snapshot anchor currency.
     uint64_t seq = 0;
-    uint64_t term = 0;
   };
 
-  void OnOrdered(uint64_t seq, uint64_t term, const std::string& payload);
-  /// Feeds one applied epoch's own-slice writes into the group tracker.
-  void TrackEpoch(const PendingEpoch& pending,
-                  std::vector<std::pair<std::string, std::string>> writes);
+  void OnOrdered(uint64_t seq, const std::string& payload);
   void OnForward(uint32_t from_shard, const std::string& payload);
   void ProposeRetry(uint64_t number);
   /// Executes every ready epoch in order; returns when the next epoch is
@@ -357,12 +355,8 @@ class ShardExecutor {
   /// Shard state, materialized once per shard (replicas agree bit-for-bit
   /// by the deterministic-execution contract; the group replicates order).
   adt::MerklePatriciaTrie state_;
-  /// One lifecycle tracker per shard *group* (state is materialized once);
-  /// null when elasticity is disabled. Joiner-side sinks live in
-  /// joiner_trackers_ for the duration of their transfers.
-  std::unique_ptr<systems::runtime::ReplicaTracker> tracker_;
-  std::vector<std::unique_ptr<systems::runtime::ReplicaTracker>>
-      joiner_trackers_;
+  /// Null unless elasticity is enabled on a Raft group.
+  std::unique_ptr<systems::runtime::RaftLifecycle> lifecycle_;
 
   uint64_t next_epoch_ = 0;                    // next epoch number to apply
   std::map<uint64_t, PendingEpoch> ordered_;   // ordered, not yet applied

@@ -250,7 +250,16 @@ class Simulator {
 
   [[noreturn]] void LookaheadViolation(Time t, Time base) const;
 
-  static thread_local ExecContext exec_tls_;
+  // The local-exec model is what the linker turns every access into anyway
+  // (dicho links statically into executables), and naming it here keeps
+  // gcc 12's UBSan honest. Left to the default initial-exec model, gcc
+  // checks a reference to exec_tls_ with `addq exec_tls_@gottpoff(%rip),
+  // %reg; je <report>`, reusing the add's zero flag; GNU ld's IE->LE
+  // relaxation rewrites that add into a `leaq`, which sets no flags, so
+  // the `je` reads a stale flag and reports a null reference that cannot
+  // exist.
+  __attribute__((tls_model("local-exec"))) static thread_local ExecContext
+      exec_tls_;
   static thread_local obs::TraceSink* default_trace_sink_;
 
   Time now_ = 0;

@@ -13,14 +13,20 @@ EtcdSystem::EtcdSystem(sim::Simulator* sim, sim::SimNetwork* net,
       nodes_(sim, runtime::kReplicaBase, config_.num_nodes) {
   runtime::TransportConfig transport;
   transport.kind = runtime::TransportKind::kRaft;
-  transport.raft = config_.raft;
+  transport.raft =
+      runtime::RaftLifecycle::GroupConfig(config_.raft, config_.elasticity);
   transport_ = std::make_unique<runtime::Transport>(
       sim, net, costs, nodes_.ids(), transport,
       [this](size_t node_index, uint64_t seq, const std::string& cmd) {
         ApplyEntry(nodes_.id_of(node_index), seq, cmd);
       });
   if (config_.elasticity.enabled) {
-    for (NodeId id : nodes_.ids()) MakeTracker(id);
+    lifecycle_ = std::make_unique<runtime::RaftLifecycle>(
+        sim, net, transport_.get(), &config_.elasticity, "lifecycle.etcd",
+        [this](NodeId id, const std::map<std::string, std::string>& state) {
+          Node* node = &nodes_.at(id);
+          for (const auto& [key, value] : state) node->state.Put(key, value);
+        });
   }
   if (obs::MetricsRegistry* registry = sim_->metrics()) {
     runtime::RegisterSystemStats(registry, "etcd", &stats_);
@@ -29,20 +35,9 @@ EtcdSystem::EtcdSystem(sim::Simulator* sim, sim::SimNetwork* net,
   }
 }
 
-void EtcdSystem::Start() { transport_->Start(); }
-
-runtime::ReplicaTracker* EtcdSystem::MakeTracker(NodeId node) {
-  auto tracker = std::make_unique<runtime::ReplicaTracker>(
-      &config_.elasticity,
-      lifecycle::LifecycleMetrics::For(sim_->metrics(), "lifecycle.etcd"));
-  // Each replica compacts its own raft log at its fold anchors — that is
-  // what makes the lifecycle transfer (not log back-fill) the only way a
-  // joiner can cross an anchor.
-  tracker->set_on_fold([this, node](uint64_t anchor, uint64_t term) {
-    transport_->raft()->node(node)->InstallSnapshot(anchor, term);
-  });
-  trackers_.push_back(std::move(tracker));
-  return trackers_.back().get();
+void EtcdSystem::Start() {
+  transport_->Start();
+  if (lifecycle_ != nullptr) lifecycle_->Start();
 }
 
 void EtcdSystem::ApplyEntry(NodeId node, uint64_t seq, const std::string& cmd) {
@@ -55,13 +50,10 @@ void EtcdSystem::ApplyEntry(NodeId node, uint64_t seq, const std::string& cmd) {
     if (op.type != core::OpType::kRead) {
       state->state.Put(op.key, op.value);
       cost += costs_->BtreeOpCost(op.key.size() + op.value.size());
-      if (!trackers_.empty()) writes.emplace_back(op.key, op.value);
+      if (lifecycle_ != nullptr) writes.emplace_back(op.key, op.value);
     }
   }
-  if (runtime::ReplicaTracker* t = tracker(node)) {
-    consensus::RaftNode* raft = transport_->raft()->node(node);
-    t->OnEntry(seq, raft != nullptr ? raft->EntryTerm(seq) : 0, writes);
-  }
+  if (lifecycle_ != nullptr) lifecycle_->OnApply(node, seq, writes);
   // Apply work is real (above); its time is charged to the node so a slow
   // applier shows up as commit latency.
   state->cpu.Submit(cost, [] {});
@@ -70,18 +62,13 @@ void EtcdSystem::ApplyEntry(NodeId node, uint64_t seq, const std::string& cmd) {
 NodeId EtcdSystem::AddReplica(
     std::function<void(const runtime::JoinReport&)> done) {
   NodeId id = nodes_.Grow(sim_);
-  runtime::ReplicaTracker* joiner = MakeTracker(id);
-  consensus::RaftNode* leader = transport_->raft()->leader();
-  NodeId source = leader != nullptr ? leader->id() : nodes_.id_of(0);
-  runtime::StartElasticRaftJoin(
-      sim_, net_, transport_.get(), source, id, tracker(source), joiner,
-      config_.elasticity,
-      [this, id](const std::map<std::string, std::string>& state) {
-        Node* node = &nodes_.at(id);
-        for (const auto& [key, value] : state) node->state.Put(key, value);
-      },
-      std::move(done));
+  lifecycle_->Join(id, std::move(done));
   return id;
+}
+
+void EtcdSystem::RemoveReplica(NodeId id, bool drain,
+                               std::function<void()> done) {
+  lifecycle_->Leave(id, drain, std::move(done));
 }
 
 void EtcdSystem::Submit(const core::TxnRequest& request, core::TxnCallback cb) {

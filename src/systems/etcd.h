@@ -53,11 +53,12 @@ class EtcdSystem : public core::TransactionalSystem {
   /// Pre-populates every replica directly (benchmark setup; bypasses
   /// consensus the way a bulk load would).
   void Load(const std::string& key, const std::string& value) override {
-    nodes_.ForEach([&](NodeId id, Node& node) {
-      node.state.Put(key, value);
-      if (runtime::ReplicaTracker* t = tracker(id)) t->OnLoad(key, value);
-    });
+    nodes_.ForEach([&](NodeId, Node& node) { node.state.Put(key, value); });
+    if (lifecycle_ != nullptr) lifecycle_->OnLoad(key, value);
   }
+
+  /// The replication group (raw Raft access for tests and inspection).
+  runtime::Transport* transport() { return transport_.get(); }
 
   /// Every node's full copy of the state (full replication).
   storage::btree::BTree* state_of(NodeId node) { return &nodes_.at(node).state; }
@@ -66,13 +67,17 @@ class EtcdSystem : public core::TransactionalSystem {
   /// Lifecycle (requires config.elasticity.enabled): scales the group out
   /// by one replica — content-addressed snapshot + log-tail transfer from
   /// the leader, then Raft §6 single-server admission — all under live
-  /// traffic. `done` fires once the replica is admitted. Returns the new
-  /// replica's id.
+  /// traffic. `done` fires once the replica is admitted and inside the
+  /// leader's retained log. Returns the new replica's id.
   NodeId AddReplica(std::function<void(const runtime::JoinReport&)> done);
+  /// Lifecycle (requires config.elasticity.enabled): removes `id` from the
+  /// group under live traffic; with `drain`, a leading `id` first hands
+  /// leadership to its most caught-up follower. `done` fires once the
+  /// leader's membership no longer contains it.
+  void RemoveReplica(NodeId id, bool drain, std::function<void()> done);
   /// The replica's lifecycle tracker (null when elasticity is disabled).
   runtime::ReplicaTracker* tracker(NodeId node) {
-    size_t index = nodes_.index_of(node);
-    return index < trackers_.size() ? trackers_[index].get() : nullptr;
+    return lifecycle_ != nullptr ? lifecycle_->tracker(node) : nullptr;
   }
 
  private:
@@ -82,7 +87,6 @@ class EtcdSystem : public core::TransactionalSystem {
     sim::CpuResource cpu;  // serial apply thread (BoltDB writer)
   };
 
-  runtime::ReplicaTracker* MakeTracker(NodeId node);
   void ApplyEntry(NodeId node, uint64_t seq, const std::string& cmd);
 
   sim::Simulator* sim_;
@@ -91,12 +95,12 @@ class EtcdSystem : public core::TransactionalSystem {
   EtcdConfig config_;
   core::SystemStats stats_;
   runtime::NodeSet<Node> nodes_;
-  /// One lifecycle tracker per replica, parallel to nodes_ (empty when
-  /// elasticity is disabled — the default, so goldens are untouched).
-  std::vector<std::unique_ptr<runtime::ReplicaTracker>> trackers_;
   /// One Raft group over all nodes; Submit goes through the raw raft()
   /// accessor because etcd rejects leaderless writes instead of retrying.
   std::unique_ptr<runtime::Transport> transport_;
+  /// Null when elasticity is disabled (the default, so goldens are
+  /// untouched).
+  std::unique_ptr<runtime::RaftLifecycle> lifecycle_;
 };
 
 }  // namespace dicho::systems

@@ -17,7 +17,8 @@ runtime::BlockPipelineConfig PipelineConfig(const sim::CostModel* costs,
   pipeline.transport.kind = config.consensus == HarmonyConsensus::kRaft
                                 ? runtime::TransportKind::kRaft
                                 : runtime::TransportKind::kBft;
-  pipeline.transport.raft = config.raft;
+  pipeline.transport.raft =
+      runtime::RaftLifecycle::GroupConfig(config.raft, config.elasticity);
   pipeline.transport.bft = config.bft;
   pipeline.interval = config.epoch_interval;
   pipeline.policy.max_txns = config.max_epoch_txns;
@@ -35,7 +36,6 @@ runtime::BlockPipelineConfig PipelineConfig(const sim::CostModel* costs,
 HarmonySystem::HarmonySystem(sim::Simulator* sim, sim::SimNetwork* net,
                              const sim::CostModel* costs, HarmonyConfig config)
     : sim_(sim),
-      net_(net),
       config_(config),
       contracts_(contract::ContractRegistry::CreateDefault()),
       executor_(contracts_.get(), costs, config_.exec_lanes,
@@ -51,8 +51,15 @@ HarmonySystem::HarmonySystem(sim::Simulator* sim, sim::SimNetwork* net,
     pipeline_.nodes().ForEach(
         [&](runtime::BlockNode& node) { node.state.Configure(options); });
   }
-  if (config_.elasticity.enabled) {
-    for (sim::NodeId id : pipeline_.nodes().ids()) MakeTracker(id);
+  if (config_.elasticity.enabled &&
+      config_.consensus == HarmonyConsensus::kRaft) {
+    lifecycle_ = std::make_unique<runtime::RaftLifecycle>(
+        sim, net, &pipeline_.transport(), &config_.elasticity,
+        "lifecycle.harmony",
+        [this](sim::NodeId id, const std::map<std::string, std::string>& state) {
+          runtime::BlockNode* node = &pipeline_.node(id);
+          for (const auto& [key, value] : state) node->state.Put(key, value);
+        });
   }
   if (obs::MetricsRegistry* registry = sim_->metrics()) {
     registry->GetCallbackGauge("harmony.epochs", [this] {
@@ -100,34 +107,21 @@ runtime::BlockPipeline::Hooks HarmonySystem::MakeHooks(
   return hooks;
 }
 
-runtime::ReplicaTracker* HarmonySystem::MakeTracker(sim::NodeId node) {
-  auto tracker = std::make_unique<runtime::ReplicaTracker>(
-      &config_.elasticity,
-      lifecycle::LifecycleMetrics::For(sim_->metrics(), "lifecycle.harmony"));
-  if (config_.consensus == HarmonyConsensus::kRaft) {
-    tracker->set_on_fold([this, node](uint64_t anchor, uint64_t term) {
-      pipeline_.transport().raft()->node(node)->InstallSnapshot(anchor, term);
-    });
-  }
-  trackers_.push_back(std::move(tracker));
-  return trackers_.back().get();
+void HarmonySystem::Start() {
+  pipeline_.Start();
+  if (lifecycle_ != nullptr) lifecycle_->Start();
 }
 
 sim::NodeId HarmonySystem::AddReplica(
     std::function<void(const runtime::JoinReport&)> done) {
   sim::NodeId id = pipeline_.nodes().Grow(sim_);
-  runtime::ReplicaTracker* joiner = MakeTracker(id);
-  runtime::Transport* transport = &pipeline_.transport();
-  sim::NodeId source = transport->LeaderId(pipeline_.nodes().id_of(0));
-  runtime::StartElasticRaftJoin(
-      sim_, net_, transport, source, id, tracker(source), joiner,
-      config_.elasticity,
-      [this, id](const std::map<std::string, std::string>& state) {
-        runtime::BlockNode* node = &pipeline_.node(id);
-        for (const auto& [key, value] : state) node->state.Put(key, value);
-      },
-      std::move(done));
+  lifecycle_->Join(id, std::move(done));
   return id;
+}
+
+void HarmonySystem::RemoveReplica(sim::NodeId id, bool drain,
+                                  std::function<void()> done) {
+  lifecycle_->Leave(id, drain, std::move(done));
 }
 
 sim::Time HarmonySystem::ApplyEpoch(sim::NodeId node_id, uint64_t seq,
@@ -165,20 +159,12 @@ sim::Time HarmonySystem::ApplyEpoch(sim::NodeId node_id, uint64_t seq,
   node->state.CommitBatch();
   block->header.state_digest = node->state.RootDigest();
 
-  if (runtime::ReplicaTracker* t = tracker(node_id)) {
-    std::vector<std::pair<std::string, std::string>> writes;
+  if (lifecycle_ != nullptr) {
+    runtime::RaftLifecycle::Writes writes;
     for (const auto& result : outcome.results) {
-      for (const auto& [key, value] : result.writes) {
-        writes.emplace_back(key, value);
-      }
+      writes.insert(writes.end(), result.writes.begin(), result.writes.end());
     }
-    uint64_t term = 0;
-    if (config_.consensus == HarmonyConsensus::kRaft) {
-      consensus::RaftNode* raft =
-          pipeline_.transport().raft()->node(node_id);
-      if (raft != nullptr) term = raft->EntryTerm(seq);
-    }
-    t->OnEntry(seq, term, writes);
+    lifecycle_->OnApply(node_id, seq, writes);
   }
 
   // One replica (a fixed one, so the count is once per epoch) accumulates

@@ -84,7 +84,7 @@ class HarmonySystem : public core::TransactionalSystem {
   HarmonySystem(sim::Simulator* sim, sim::SimNetwork* net,
                 const sim::CostModel* costs, HarmonyConfig config);
 
-  void Start() override { pipeline_.Start(); }
+  void Start() override;
   bool HasSequencer() const { return pipeline_.transport().HasLeader(); }
 
   void Submit(const core::TxnRequest& request, core::TxnCallback cb) override {
@@ -98,19 +98,21 @@ class HarmonySystem : public core::TransactionalSystem {
 
   void Load(const std::string& key, const std::string& value) override {
     pipeline_.Load(key, value);
-    for (auto& t : trackers_) t->OnLoad(key, value);
+    if (lifecycle_ != nullptr) lifecycle_->OnLoad(key, value);
   }
 
   /// Lifecycle (requires config.elasticity.enabled and Raft consensus):
   /// scales the replica set out by one — snapshot + log-tail transfer from
-  /// a live replica, then Raft single-server admission. Because execution
-  /// is deterministic, catch-up is a pure data transfer: the joiner
-  /// replays ordered epochs past the anchor and lands byte-identical
-  /// (PAPERS.md, "When Private Blockchain Meets Deterministic Database").
+  /// the leader, then Raft single-server admission. Because execution is
+  /// deterministic, catch-up is a pure data transfer: the joiner replays
+  /// ordered epochs past the anchor and lands byte-identical (PAPERS.md,
+  /// "When Private Blockchain Meets Deterministic Database").
   sim::NodeId AddReplica(std::function<void(const runtime::JoinReport&)> done);
+  /// Lifecycle (same requirements): removes `id`, draining its leadership
+  /// first when `drain` is set; `done` fires once it left the membership.
+  void RemoveReplica(sim::NodeId id, bool drain, std::function<void()> done);
   runtime::ReplicaTracker* tracker(sim::NodeId node) {
-    size_t index = pipeline_.nodes().index_of(node);
-    return index < trackers_.size() ? trackers_[index].get() : nullptr;
+    return lifecycle_ != nullptr ? lifecycle_->tracker(node) : nullptr;
   }
 
   const adt::MerklePatriciaTrie& state_of(sim::NodeId node) const {
@@ -127,20 +129,18 @@ class HarmonySystem : public core::TransactionalSystem {
  private:
   runtime::BlockPipeline::Hooks MakeHooks(sim::Simulator* sim,
                                           const sim::CostModel* costs);
-  runtime::ReplicaTracker* MakeTracker(sim::NodeId node);
   /// Runs one ordered epoch on a replica; returns its multi-lane makespan.
   sim::Time ApplyEpoch(sim::NodeId node, uint64_t seq, ledger::Block* block);
 
   sim::Simulator* sim_;
-  sim::SimNetwork* net_;
   HarmonyConfig config_;
   HarmonyEpochStats epoch_stats_;
-  /// Parallel to the replica set; empty when elasticity is disabled (the
-  /// default).
-  std::vector<std::unique_ptr<runtime::ReplicaTracker>> trackers_;
   std::unique_ptr<contract::ContractRegistry> contracts_;
   txn::DeterministicExecutor executor_;
   runtime::BlockPipeline pipeline_;
+  /// Null unless elasticity is enabled on Raft consensus (the default is
+  /// off).
+  std::unique_ptr<runtime::RaftLifecycle> lifecycle_;
 };
 
 }  // namespace dicho::systems

@@ -1,10 +1,6 @@
 #include "systems/runtime/elasticity.h"
 
-#include <algorithm>
 #include <utility>
-
-#include "consensus/raft.h"
-#include "lifecycle/membership.h"
 
 namespace dicho::systems::runtime {
 
@@ -95,6 +91,40 @@ lifecycle::SnapshotTransfer::Source ReplicaTracker::AsSource(
   return src;
 }
 
+namespace {
+
+/// Rebuilds the state a finished transfer carries: the manifest's chunks
+/// from `store`, then the shipped log tail replayed on top. Sets `report`'s
+/// anchor and anchor term; false when the transfer failed or a chunk is
+/// missing.
+bool RestoreTransfer(const lifecycle::TransferResult& result,
+                     const lifecycle::ChunkStore& store,
+                     std::map<std::string, std::string>* state,
+                     JoinReport* report) {
+  if (!result.ok || !lifecycle::RestoreSnapshot(result.manifest, store, state)) {
+    return false;
+  }
+  report->anchor = result.manifest.anchor;
+  report->anchor_term = result.suffix.anchor_term;
+  for (const lifecycle::CatchupEntry& entry : result.suffix.entries) {
+    std::vector<std::pair<std::string, std::string>> writes;
+    if (lifecycle::DecodeChunk(entry.cmd, &writes)) {
+      for (const auto& [key, value] : writes) (*state)[key] = value;
+    }
+    report->anchor = entry.index;
+    report->anchor_term = entry.term;
+  }
+  return true;
+}
+
+// Cadence of every control step: join and leave polls and the maintenance
+// tick. A transfer aimed at a replica behind a partition fails after
+// ElasticityConfig::transfer's attempts, and a later step starts a fresh
+// one from whoever leads by then.
+constexpr sim::Time kPollInterval = 50 * sim::kMs;
+
+}  // namespace
+
 void StartReplicaJoin(
     sim::Simulator* sim, sim::SimNetwork* net, sim::NodeId source_id,
     sim::NodeId joiner_id, ReplicaTracker* source, ReplicaTracker* joiner,
@@ -114,187 +144,271 @@ void StartReplicaJoin(
         report.finished = sim->Now();
         report.stats = result.stats;
         std::map<std::string, std::string> state;
-        if (!result.ok ||
-            !lifecycle::RestoreSnapshot(result.manifest, *joiner->store(),
-                                        &state)) {
-          joiner->RecordTransfer(result.stats, false);
+        report.ok = RestoreTransfer(result, *joiner->store(), &state, &report);
+        joiner->RecordTransfer(result.stats, report.ok);
+        if (!report.ok) {
           install(report, {});
           return;
         }
-        uint64_t anchor = result.manifest.anchor;
-        uint64_t term = result.suffix.anchor_term;
-        for (const lifecycle::CatchupEntry& entry : result.suffix.entries) {
-          std::vector<std::pair<std::string, std::string>> writes;
-          if (lifecycle::DecodeChunk(entry.cmd, &writes)) {
-            for (const auto& [key, value] : writes) state[key] = value;
-          }
-          anchor = entry.index;
-          term = entry.term;
-        }
-        report.ok = true;
-        report.anchor = anchor;
-        report.anchor_term = term;
-        joiner->RecordTransfer(result.stats, true);
-        joiner->Seed(state, anchor, term);
+        joiner->Seed(std::move(state), report.anchor, report.anchor_term);
         install(report, joiner->state());
       });
 }
 
-namespace {
+consensus::RaftConfig RaftLifecycle::GroupConfig(
+    consensus::RaftConfig raft, const ElasticityConfig& elasticity) {
+  if (elasticity.enabled) {
+    raft.leader_noop = true;
+    raft.fast_backtrack = true;
+  }
+  return raft;
+}
 
-/// Drives the Raft §6 add-node admission of an already-caught-up joiner:
-/// polls for a leader, proposes the single-server add, and re-polls until
-/// the leader's membership contains the joiner (elections and an in-flight
-/// config change just delay the next attempt).
-void DriveAdmission(sim::Simulator* sim, Transport* transport,
-                    sim::NodeId joiner_id, JoinReport report,
-                    std::function<void(const JoinReport&)> done) {
-  consensus::RaftCluster* cluster = transport->raft();
-  consensus::RaftNode* leader = cluster->leader();
-  if (leader != nullptr && leader->membership().Contains(joiner_id)) {
-    report.finished = sim->Now();
-    done(report);
-    return;
-  }
-  if (leader != nullptr) {
-    lifecycle::ConfigChange cc;
-    cc.kind = lifecycle::ConfigChangeKind::kAddNode;
-    cc.node = joiner_id;
-    // Rejected while another change is in flight — the re-poll retries.
-    leader->ProposeConfigChange(cc, [](Status, uint64_t) {});
-  }
-  sim->Schedule(100 * sim::kMs, [sim, transport, joiner_id,
-                                 report = std::move(report),
-                                 done = std::move(done)]() mutable {
-    DriveAdmission(sim, transport, joiner_id, std::move(report),
-                   std::move(done));
+RaftLifecycle::RaftLifecycle(sim::Simulator* sim, sim::SimNetwork* net,
+                             Transport* transport,
+                             const ElasticityConfig* config,
+                             const std::string& metrics_prefix,
+                             InstallFn install)
+    : sim_(sim),
+      net_(net),
+      transport_(transport),
+      cluster_(transport->raft()),
+      config_(config),
+      metrics_(lifecycle::LifecycleMetrics::For(sim->metrics(),
+                                                metrics_prefix)),
+      install_(std::move(install)) {
+  for (sim::NodeId id : transport_->node_ids()) Track(id);
+}
+
+RaftLifecycle::Replica& RaftLifecycle::Track(sim::NodeId id) {
+  Replica& r = replicas_[id];
+  r.tracker = std::make_unique<ReplicaTracker>(config_, metrics_);
+  consensus::RaftNode* raft = cluster_->node(id);
+  r.tracker->set_on_fold([raft](uint64_t anchor, uint64_t term) {
+    raft->InstallSnapshot(anchor, term);
   });
+  r.view = raft->membership();
+  return r;
 }
 
-void MergeStats(const lifecycle::CatchupStats& round,
-                lifecycle::CatchupStats* total) {
-  total->control_bytes += round.control_bytes;
-  total->manifest_bytes += round.manifest_bytes;
-  total->chunk_bytes += round.chunk_bytes;
-  total->chunks_fetched += round.chunks_fetched;
-  total->chunks_reused += round.chunks_reused;
-  total->log_entries += round.log_entries;
-  total->log_bytes += round.log_bytes;
-  total->retries += round.retries;
+void RaftLifecycle::Start() {
+  sim_->ScheduleGlobal(kPollInterval, [this] { Tick(); });
 }
 
-/// The straggler rescue: an admitted joiner whose log end sits below the
-/// leader's snapshot anchor can never be back-filled by AppendEntries (the
-/// leader compacted those entries away), and under sustained traffic the
-/// group folds faster than the admission round-trip — so without this loop
-/// the joiner starves forever at its transfer anchor. Each round re-runs
-/// the lifecycle transfer; the joiner's chunk store already holds the last
-/// round's chunks, so only the buckets dirtied since then ship (the delta
-/// win), which makes a round much faster than the fold interval and the
-/// loop converge.
-void DriveCatchup(
-    sim::Simulator* sim, sim::SimNetwork* net, Transport* transport,
-    sim::NodeId source_id, sim::NodeId joiner_id, ReplicaTracker* source,
-    ReplicaTracker* joiner, ElasticityConfig config,
-    std::function<void(const std::map<std::string, std::string>& state)>
-        install_state,
-    JoinReport report, std::function<void(const JoinReport&)> done) {
-  consensus::RaftCluster* cluster = transport->raft();
-  consensus::RaftNode* raft = cluster->node(joiner_id);
-  consensus::RaftNode* leader = cluster->leader();
-  if (leader == nullptr) {
-    // Election in progress; the next leader's anchor decides.
-    sim->Schedule(100 * sim::kMs,
-                  [sim, net, transport, source_id, joiner_id, source, joiner,
-                   config, install_state = std::move(install_state),
-                   report = std::move(report), done = std::move(done)]() mutable {
-                    DriveCatchup(sim, net, transport, source_id, joiner_id,
-                                 source, joiner, config,
-                                 std::move(install_state), std::move(report),
-                                 std::move(done));
-                  });
+void RaftLifecycle::OnLoad(const std::string& key, const std::string& value) {
+  for (auto& [id, r] : replicas_) r.tracker->OnLoad(key, value);
+}
+
+void RaftLifecycle::OnApply(sim::NodeId node, uint64_t seq,
+                            const Writes& writes) {
+  Replica& r = replicas_.at(node);
+  if (seq <= r.tracker->applied_seq()) {
+    for (const auto& [key, value] : writes) r.tracker->OnLoad(key, value);
     return;
   }
-  if (leader->snapshot_index() <= raft->log_size()) {
-    // Back inside the leader's retained log: normal AppendEntries
-    // replication finishes the job from here.
-    report.finished = sim->Now();
-    done(report);
+  consensus::RaftNode* raft = cluster_->node(node);
+  r.view = raft->membership();
+  // May fold, which compacts the log this entry lives in.
+  r.tracker->OnEntry(seq, raft->EntryTerm(seq), writes);
+}
+
+consensus::RaftNode* RaftLifecycle::Leader() {
+  consensus::RaftNode* best = nullptr;
+  for (consensus::RaftNode* node : cluster_->all()) {
+    if (!node->IsLeader() || node->retired()) continue;
+    if (best == nullptr || node->current_term() > best->current_term()) {
+      best = node;
+    }
+  }
+  return best;
+}
+
+ReplicaTracker* RaftLifecycle::tracker(sim::NodeId id) {
+  auto it = replicas_.find(id);
+  return it == replicas_.end() ? nullptr : it->second.tracker.get();
+}
+
+uint32_t RaftLifecycle::installs(sim::NodeId id) const {
+  auto it = replicas_.find(id);
+  return it == replicas_.end() ? 0 : it->second.installs;
+}
+
+void RaftLifecycle::Tick() {
+  // Rescue: a started member whose commit index sits below the leader's
+  // snapshot anchor can never be back-filled (those entries are compacted
+  // away). The receiver's chunk store still holds earlier rounds' chunks,
+  // so each round ships only the buckets dirtied since.
+  consensus::RaftNode* leader = Leader();
+  if (leader != nullptr) {
+    for (auto& [id, r] : replicas_) {
+      consensus::RaftNode* node = cluster_->node(id);
+      if (id == leader->id() || !r.started || r.transfer_busy ||
+          node->crashed() || node->retired() ||
+          node->commit_index() >= leader->snapshot_index() ||
+          leader->match_index_of(id) >= leader->snapshot_index()) {
+        continue;
+      }
+      StartTransfer(leader->id(), id);
+    }
+  }
+  sim_->ScheduleGlobal(kPollInterval, [this] { Tick(); });
+}
+
+void RaftLifecycle::Join(sim::NodeId id, JoinDoneFn done) {
+  if (replicas_.count(id) != 0) return;
+  transport_->AddRaftReplica(id);
+  Replica& r = Track(id);
+  r.installed = false;
+  r.started = false;
+  r.join_done = std::move(done);
+  r.report.started = sim_->Now();
+  JoinStep(id);
+}
+
+void RaftLifecycle::JoinStep(sim::NodeId id) {
+  Replica& r = replicas_.at(id);
+  consensus::RaftNode* node = cluster_->node(id);
+  consensus::RaftNode* leader = Leader();
+  // A joiner removed before it finished is abandoned.
+  bool finished = node->retired();
+  if (!finished && leader != nullptr) {
+    // State first (loaded records never travel the log, so a joiner must
+    // not replay it before a transfer seeded what the log lacks), and again
+    // whenever the leader compacted past the joiner.
+    if (!r.transfer_busy &&
+        (!r.installed || leader->snapshot_index() > node->commit_index())) {
+      StartTransfer(leader->id(), id);
+    }
+    if (!r.installed) {
+      // Wait for the first transfer.
+    } else if (!leader->membership().Contains(id)) {
+      ProposeChange(leader, lifecycle::ConfigChangeKind::kAddNode, id);
+    } else {
+      if (!r.started) {
+        sim::Simulator::PartitionScope scope(sim_, sim_->PartitionOfNode(id));
+        node->Start();
+        r.started = true;
+      }
+      // Done once inside the leader's retained log.
+      r.report.ok = finished = node->commit_index() >= leader->snapshot_index();
+    }
+  }
+  if (finished) {
+    r.report.finished = sim_->Now();
+    if (r.join_done != nullptr) r.join_done(r.report);
     return;
   }
-  StartReplicaJoin(
-      sim, net, source_id, joiner_id, source, joiner, config,
-      /*source_available=*/nullptr,
-      [sim, net, transport, source_id, joiner_id, source, joiner, config,
-       raft, install_state = std::move(install_state),
-       report = std::move(report), done = std::move(done)](
-          const JoinReport& round,
-          const std::map<std::string, std::string>& state) mutable {
-        JoinReport merged = report;
-        MergeStats(round.stats, &merged.stats);
-        if (round.ok) {
-          merged.anchor = round.anchor;
-          merged.anchor_term = round.anchor_term;
-          install_state(state);
-          raft->InstallSnapshot(round.anchor, round.anchor_term);
-        }
-        DriveCatchup(sim, net, transport, source_id, joiner_id, source,
-                     joiner, config, std::move(install_state),
-                     std::move(merged), std::move(done));
+  sim_->ScheduleGlobal(kPollInterval, [this, id] { JoinStep(id); });
+}
+
+void RaftLifecycle::Leave(sim::NodeId id, bool drain,
+                          std::function<void()> done) {
+  consensus::RaftNode* leader = Leader();
+  if (leader != nullptr) {
+    if (!leader->membership().Contains(id)) {
+      if (done != nullptr) done();
+      return;
+    }
+    if (drain && leader->id() == id) {
+      // TransferLeadership pushes the backlog to the target, then sends it
+      // a TimeoutNow; the removal waits for the hand-off.
+      sim::NodeId target = DrainTarget(leader);
+      if (target != id) {
+        sim::Simulator::PartitionScope scope(sim_, sim_->PartitionOfNode(id));
+        leader->TransferLeadership(target);
+      }
+    } else {
+      ProposeChange(leader, lifecycle::ConfigChangeKind::kRemoveNode, id);
+    }
+  }
+  sim_->ScheduleGlobal(kPollInterval,
+                       [this, id, drain, done = std::move(done)]() mutable {
+                         Leave(id, drain, std::move(done));
+                       });
+}
+
+void RaftLifecycle::ProposeChange(consensus::RaftNode* leader,
+                                  lifecycle::ConfigChangeKind kind,
+                                  sim::NodeId node) {
+  lifecycle::ConfigChange cc;
+  cc.kind = kind;
+  cc.node = node;
+  sim::Simulator::PartitionScope scope(sim_,
+                                       sim_->PartitionOfNode(leader->id()));
+  // Rejected while another change is in flight; the next poll retries.
+  leader->ProposeConfigChange(cc, [](Status, uint64_t) {});
+}
+
+sim::NodeId RaftLifecycle::DrainTarget(consensus::RaftNode* leader) {
+  sim::NodeId best = leader->id();
+  uint64_t best_match = 0;
+  for (sim::NodeId m : leader->membership().members) {
+    consensus::RaftNode* node = cluster_->node(m);
+    if (m == leader->id() || node == nullptr || node->crashed() ||
+        node->retired()) {
+      continue;
+    }
+    uint64_t match = leader->match_index_of(m);
+    if (best == leader->id() || match > best_match) {
+      best = m;
+      best_match = match;
+    }
+  }
+  return best;
+}
+
+void RaftLifecycle::StartTransfer(sim::NodeId source, sim::NodeId target) {
+  Replica& from = replicas_.at(source);
+  replicas_.at(target).transfer_busy = true;
+  lifecycle::SnapshotTransfer::Source src;
+  lifecycle::MembershipView view = from.view;
+  {
+    // Freeze the source at its current apply position: manifest (folding
+    // pending loads first), log tail and membership stay one consistent
+    // triple however far the source moves on mid-transfer. Chunk stores
+    // keep old chunks, so the frozen digests stay servable.
+    sim::Simulator::PartitionScope scope(sim_, sim_->PartitionOfNode(source));
+    consensus::RaftNode* raft = cluster_->node(source);
+    src = from.tracker->AsSource([raft] { return !raft->crashed(); });
+    lifecycle::SnapshotManifest manifest = src.manifest();
+    lifecycle::LogSuffix suffix = src.log_suffix(manifest.anchor);
+    src.manifest = [manifest] { return manifest; };
+    src.log_suffix = [suffix](uint64_t) { return suffix; };
+  }
+  consensus::RaftNode* node = cluster_->node(target);
+  sim::Simulator::PartitionScope scope(sim_, sim_->PartitionOfNode(target));
+  lifecycle::SnapshotTransfer::Start(
+      sim_, net_, source, target, std::move(src),
+      replicas_.at(target).tracker->store(),
+      [node] { return !node->crashed() && !node->retired(); },
+      config_->transfer,
+      [this, target, view](lifecycle::TransferResult result) {
+        FinishTransfer(target, view, result);
       });
 }
 
-}  // namespace
-
-void StartElasticRaftJoin(
-    sim::Simulator* sim, sim::SimNetwork* net, Transport* transport,
-    sim::NodeId source_id, sim::NodeId joiner_id, ReplicaTracker* source,
-    ReplicaTracker* joiner, const ElasticityConfig& config,
-    std::function<void(const std::map<std::string, std::string>& state)>
-        install_state,
-    std::function<void(const JoinReport&)> done) {
-  StartReplicaJoin(
-      sim, net, source_id, joiner_id, source, joiner, config,
-      /*source_available=*/nullptr,
-      [sim, net, transport, source_id, joiner_id, source, joiner, config,
-       install_state = std::move(install_state), done = std::move(done)](
-          const JoinReport& report,
-          const std::map<std::string, std::string>& state) mutable {
-        if (!report.ok) {
-          done(report);
-          return;
-        }
-        consensus::RaftCluster* cluster = transport->raft();
-        consensus::RaftNode* leader = cluster->leader();
-        if (leader != nullptr && leader->snapshot_index() > report.anchor) {
-          // The source folded (and compacted its log) past the anchor we
-          // transferred while the transfer was in flight, so the leader can
-          // no longer back-fill from anchor+1. Re-run the transfer: the
-          // joiner's chunk store already holds this round's chunks, so the
-          // retry ships only the buckets that changed since.
-          StartElasticRaftJoin(sim, net, transport, source_id, joiner_id,
-                               source, joiner, config,
-                               std::move(install_state), std::move(done));
-          return;
-        }
-        install_state(state);
-        consensus::RaftNode* raft = transport->AddRaftReplica(joiner_id);
-        lifecycle::MembershipView view =
-            leader != nullptr ? leader->membership() : raft->membership();
-        raft->InstallSnapshot(report.anchor, report.anchor_term, view);
-        raft->Start();
-        DriveAdmission(
-            sim, transport, joiner_id, report,
-            [sim, net, transport, source_id, joiner_id, source, joiner,
-             config, install_state = std::move(install_state),
-             done = std::move(done)](const JoinReport& admitted) mutable {
-              // Admission can outlast several folds under load; rescue the
-              // joiner if the leader compacted past its log end meanwhile.
-              DriveCatchup(sim, net, transport, source_id, joiner_id, source,
-                           joiner, config, std::move(install_state), admitted,
-                           std::move(done));
-            });
-      });
+void RaftLifecycle::FinishTransfer(sim::NodeId id,
+                                   const lifecycle::MembershipView& view,
+                                   const lifecycle::TransferResult& result) {
+  // Runs on the receiver's partition.
+  Replica& r = replicas_.at(id);
+  r.transfer_busy = false;
+  r.report.stats += result.stats;
+  std::map<std::string, std::string> state;
+  JoinReport round;
+  bool ok = RestoreTransfer(result, *r.tracker->store(), &state, &round);
+  r.tracker->RecordTransfer(result.stats, ok);
+  consensus::RaftNode* node = cluster_->node(id);
+  // A rescue that raced normal replication past its anchor is stale.
+  if (!ok || (r.installed && round.anchor <= node->commit_index())) return;
+  r.tracker->Seed(std::move(state), round.anchor, round.anchor_term);
+  if (install_ != nullptr) install_(id, r.tracker->state());
+  node->InstallSnapshot(round.anchor, round.anchor_term, view);
+  r.view = view;
+  r.installed = true;
+  r.installs++;
+  r.report.anchor = round.anchor;
+  r.report.anchor_term = round.anchor_term;
 }
 
 }  // namespace dicho::systems::runtime

@@ -9,7 +9,9 @@
 #include <utility>
 #include <vector>
 
+#include "consensus/raft.h"
 #include "lifecycle/catchup.h"
+#include "lifecycle/membership.h"
 #include "lifecycle/metrics.h"
 #include "lifecycle/snapshot.h"
 #include "sim/network.h"
@@ -118,8 +120,8 @@ class ReplicaTracker {
   FoldFn on_fold_;
 };
 
-/// Outcome of one replica-join data plane: the lifecycle transfer plus the
-/// suffix replay, ending at `anchor`.
+/// Outcome of one replica join: the lifecycle transfer(s) that brought the
+/// replica its state, ending at `anchor`.
 struct JoinReport {
   bool ok = false;
   sim::Time started = 0;
@@ -137,7 +139,8 @@ struct JoinReport {
 /// + replayed state is seeded into the joiner tracker and handed to
 /// `install`, which writes it into the real storage engine and admits the
 /// replica. On failure `install` fires with report.ok == false and an
-/// empty map.
+/// empty map. Used where there is no consensus membership to change
+/// (Fabric peers); Raft groups join through RaftLifecycle.
 void StartReplicaJoin(
     sim::Simulator* sim, sim::SimNetwork* net, sim::NodeId source_id,
     sim::NodeId joiner_id, ReplicaTracker* source, ReplicaTracker* joiner,
@@ -146,22 +149,123 @@ void StartReplicaJoin(
                        const std::map<std::string, std::string>& state)>
         install);
 
-/// Full join flow for a raft-backed Transport: lifecycle transfer (retried
-/// if the source compacts past the transferred anchor before admission),
-/// then Raft §6 single-server admission — snapshot + membership view
-/// installed on the joiner's raft node, node started, add-node config
-/// change driven until the leader's membership contains the joiner.
-/// `install_state(state)` writes the restored map into the system's storage
-/// engine before the raft node starts (no-op for shards whose state is
-/// materialized once per group). `done` fires once admitted (report.ok) or
-/// once the transfer permanently fails (report.ok == false).
-void StartElasticRaftJoin(
-    sim::Simulator* sim, sim::SimNetwork* net, Transport* transport,
-    sim::NodeId source_id, sim::NodeId joiner_id, ReplicaTracker* source,
-    ReplicaTracker* joiner, const ElasticityConfig& config,
-    std::function<void(const std::map<std::string, std::string>& state)>
-        install_state,
-    std::function<void(const JoinReport&)> done);
+/// The replica-lifecycle driver of one Raft group: the only code that
+/// grows, shrinks or re-syncs a Raft replica set, shared by the systems
+/// (etcd, harmonylike on Raft, harmonyshard's shard groups) and the
+/// lifecycle fuzz scenarios. It owns one ReplicaTracker per replica: each
+/// folds a snapshot every `snapshot_every` applied entries and compacts its
+/// own replica's Raft log there, so only a lifecycle transfer — never log
+/// back-fill — can carry a replica across an anchor.
+///
+/// Each phase is a polling state machine that re-runs until its
+/// postcondition holds, so leadership churn, rejected proposals and failed
+/// transfers only delay it:
+///   join    the replica is added unstarted; a transfer from the leader's
+///           tracker brings its first state, and a delta transfer follows
+///           whenever the leader compacts past it; the add-node change is
+///           proposed until it is a member; then it starts. `done` fires
+///           once it sits inside the leader's retained log.
+///   leave   draining a leader first hands leadership to its most
+///           caught-up follower; the remove is proposed until the node is
+///           gone.
+///   rescue  a maintenance tick sends the same delta transfer to every
+///           started member whose commit index fell below the leader's
+///           snapshot anchor (a follower cut off across several folds).
+///
+/// Control steps run as global events (Simulator::ScheduleGlobal, a plain
+/// Schedule in single-partition worlds) and node work runs inside the
+/// node's PartitionScope, so partitioned worlds replay identically at any
+/// thread count. The leader is the highest-term claimant: a stale leader
+/// cut off by a partition still believes it leads, and a config change
+/// proposed there would stall until the partition heals.
+class RaftLifecycle {
+ public:
+  using Writes = std::vector<std::pair<std::string, std::string>>;
+  /// Writes a replica's restored state into its storage engine.
+  using InstallFn = std::function<void(
+      sim::NodeId, const std::map<std::string, std::string>& state)>;
+  using JoinDoneFn = std::function<void(const JoinReport&)>;
+
+  /// The Raft options of a group built with `elasticity`: when it is on,
+  /// `raft` plus the two options a managed group needs — a leader no-op (a
+  /// drained leader's successor commits without waiting for client
+  /// traffic) and fast backtracking (a snapshotted replica pulls the
+  /// leader's probe to its anchor in one round trip); when off, `raft`.
+  static consensus::RaftConfig GroupConfig(consensus::RaftConfig raft,
+                                           const ElasticityConfig& elasticity);
+
+  /// Tracks every replica of `transport`'s Raft group. `install` may be
+  /// null where state is materialized elsewhere (harmonyshard executes on
+  /// the entry replica only).
+  RaftLifecycle(sim::Simulator* sim, sim::SimNetwork* net,
+                Transport* transport, const ElasticityConfig* config,
+                const std::string& metrics_prefix, InstallFn install);
+
+  RaftLifecycle(const RaftLifecycle&) = delete;
+  RaftLifecycle& operator=(const RaftLifecycle&) = delete;
+
+  /// Arms the maintenance tick; call with the transport's Start(). The
+  /// tick re-arms forever, so run a world with elasticity on for a bounded
+  /// time (RunFor/RunUntil), never until its queue drains.
+  void Start();
+
+  /// Pre-genesis record on every replica (benchmark Load path).
+  void OnLoad(const std::string& key, const std::string& value);
+  /// One applied entry on `node`. Call it from the Raft apply of `seq`, so
+  /// the membership recorded with it is the view at `seq`. An entry at or
+  /// below the tracker's position (a restarted replica replaying its log)
+  /// only refreshes the shadow state.
+  void OnApply(sim::NodeId node, uint64_t seq, const Writes& writes);
+
+  /// Grows the group by `id` (the next id of the transport's span).
+  void Join(sim::NodeId id, JoinDoneFn done);
+  /// Shrinks the group by `id`; with `drain`, a leading `id` first hands
+  /// off leadership. `done` (may be null) fires once the leader's
+  /// membership no longer contains it.
+  void Leave(sim::NodeId id, bool drain, std::function<void()> done);
+
+  /// The highest-term live leader, or null.
+  consensus::RaftNode* Leader();
+  /// The replica's tracker; null for ids outside the group.
+  ReplicaTracker* tracker(sim::NodeId id);
+  /// Transfers installed on `id` (its join included).
+  uint32_t installs(sim::NodeId id) const;
+
+ private:
+  struct Replica {
+    std::unique_ptr<ReplicaTracker> tracker;
+    /// Membership at tracker->applied_seq(): the view a transfer anchored
+    /// there hands the receiving replica.
+    lifecycle::MembershipView view;
+    /// False for a joiner until its first transfer lands.
+    bool installed = true;
+    bool started = true;
+    bool transfer_busy = false;
+    uint32_t installs = 0;
+    /// Join completion; `report` sums every transfer round.
+    JoinDoneFn join_done;
+    JoinReport report;
+  };
+
+  Replica& Track(sim::NodeId id);
+  void Tick();
+  void JoinStep(sim::NodeId id);
+  void ProposeChange(consensus::RaftNode* leader,
+                     lifecycle::ConfigChangeKind kind, sim::NodeId node);
+  sim::NodeId DrainTarget(consensus::RaftNode* leader);
+  void StartTransfer(sim::NodeId source, sim::NodeId target);
+  void FinishTransfer(sim::NodeId id, const lifecycle::MembershipView& view,
+                      const lifecycle::TransferResult& result);
+
+  sim::Simulator* sim_;
+  sim::SimNetwork* net_;
+  Transport* transport_;
+  consensus::RaftCluster* cluster_;
+  const ElasticityConfig* config_;
+  lifecycle::LifecycleMetrics metrics_;
+  InstallFn install_;
+  std::map<sim::NodeId, Replica> replicas_;
+};
 
 }  // namespace dicho::systems::runtime
 

@@ -9,8 +9,7 @@
 #include "consensus/pbft.h"
 #include "consensus/raft.h"
 #include "core/types.h"
-#include "lifecycle/catchup.h"
-#include "lifecycle/snapshot.h"
+#include "lifecycle/membership.h"
 #include "obs/trace.h"
 #include "ledger/ledger.h"
 #include "sim/cost_model.h"
@@ -19,7 +18,9 @@
 #include "systems/harmonylike.h"
 #include "systems/harmonyshard.h"
 #include "systems/quorum.h"
+#include "systems/runtime/elasticity.h"
 #include "systems/runtime/registry.h"
+#include "systems/runtime/transport.h"
 #include "testing/nemesis.h"
 #include "testing/serializability.h"
 #include "workload/arrival.h"
@@ -1002,16 +1003,15 @@ struct ElasticOptions {
   uint32_t key_space = 48;
 };
 
-/// Drives a replicated key-value Raft group ("k=v" put commands) through the
-/// full lifecycle protocol under nemesis control: periodic content-addressed
-/// snapshots with log compaction on the leader, delta snapshot transfers to
-/// stragglers and joiners (lifecycle::SnapshotTransfer), single-server
-/// membership changes, and leadership drain before leader removal. All
-/// orchestration (client, snapshot folding, laggard rescue, join/leave state
-/// machines) runs as control events — global events in partitioned worlds,
-/// so world-shared state is only touched with every partition parked; node
-/// state (kv map, applied log, membership observations) is only mutated on
-/// the owning node's partition.
+/// A replicated key-value Raft group ("k=v" put commands) on the systems'
+/// runtime — runtime::Transport plus runtime::RaftLifecycle, the lifecycle
+/// driver etcd, harmonylike and harmonyshard ship — under nemesis control.
+/// Joins and leaves enter through the same driver calls the systems'
+/// AddReplica/RemoveReplica make; snapshot folds, log compaction and
+/// laggard rescue are the driver's. This class only adds the client, the
+/// apply observers and the final invariant checks. Control events run as
+/// global events (plain events in single-partition worlds), so the
+/// partitioned world replays identically at any worker-thread count.
 class ElasticRaftGroup {
  public:
   ElasticRaftGroup(uint64_t seed, const ElasticOptions& opts, BugInjection bug)
@@ -1023,70 +1023,62 @@ class ElasticRaftGroup {
       }
       net_.SyncPartitions();  // partitions were added after net_ constructed
     }
-    kv_.resize(opts_.max_nodes);
     applied_.resize(opts_.max_nodes);
-    frontier_.assign(opts_.max_nodes, 0);
     views_.resize(opts_.max_nodes);
-    store_.resize(opts_.max_nodes);
-    folds_.resize(opts_.max_nodes);
-    stats_.resize(opts_.max_nodes);
-    transfer_busy_.assign(opts_.max_nodes, 0);
-    transfers_failed_.assign(opts_.max_nodes, 0);
-    left_.assign(opts_.max_nodes, 0);
-    admitted_.assign(opts_.max_nodes, 0);
-    for (sim::NodeId id = 0; id < opts_.initial_nodes; id++) admitted_[id] = 1;
-    started_.assign(opts_.max_nodes, 0);
-    rescues_.assign(opts_.max_nodes, 0);
 
-    consensus::RaftConfig config;
-    config.unsafe_commit_without_quorum =
+    elasticity_.enabled = true;
+    elasticity_.snapshot_every = opts_.snapshot_every;
+    // Fail fast: a transfer aimed at (or from) a node behind a partition
+    // is doomed, and while it retries its target is busy. Short attempts
+    // plus the driver's re-initiation from a fresh fold beat long backoff.
+    elasticity_.transfer.retry_timeout = 150 * sim::kMs;
+    elasticity_.transfer.max_attempts = 4;
+    systems::runtime::TransportConfig transport;
+    transport.kind = systems::runtime::TransportKind::kRaft;
+    transport.raft.unsafe_commit_without_quorum =
         bug == BugInjection::kRaftCommitWithoutQuorum;
-    // Both lifecycle opt-ins: a drained leader's successor must commit
-    // without waiting for client traffic, and a snapshotted joiner must pull
-    // the leader's probe to its anchor in one round trip.
-    config.leader_noop = true;
-    config.fast_backtrack = true;
-    cluster_ = consensus::RaftCluster::Create(
-        &sim_, &net_, &costs_, MakeIds(opts_.initial_nodes), config,
-        [this](sim::NodeId node, uint64_t index, const std::string& cmd) {
-          frontier_[node] = index;
-          applied_[node].emplace_back(index, cmd);
-          CatchupDigestChecker::ApplyCommand(cmd, &kv_[node]);
+    transport.raft = systems::runtime::RaftLifecycle::GroupConfig(
+        transport.raft, elasticity_);
+    transport_ = std::make_unique<systems::runtime::Transport>(
+        &sim_, &net_, &costs_, MakeIds(opts_.initial_nodes), transport,
+        [this](size_t index, uint64_t seq, const std::string& cmd) {
+          sim::NodeId id = static_cast<sim::NodeId>(index);
+          applied_[id].emplace_back(seq, cmd);
+          std::map<std::string, std::string> put;
+          CatchupDigestChecker::ApplyCommand(cmd, &put);
+          lifecycle_->OnApply(id, seq, {put.begin(), put.end()});
         });
-    for (consensus::RaftNode* node : cluster_->all()) WireNode(node);
-    for (sim::NodeId id = 0; id < opts_.initial_nodes; id++) started_[id] = 1;
+    lifecycle_ = std::make_unique<systems::runtime::RaftLifecycle>(
+        &sim_, &net_, transport_.get(), &elasticity_, "lifecycle.fuzz",
+        /*install=*/nullptr);
+    for (consensus::RaftNode* node : transport_->raft()->all()) {
+      WatchViews(node);
+    }
   }
 
   void Run(const FaultSchedule& schedule) {
+    // The lifecycle schedules never crash a node, so only the lifecycle
+    // hooks are wired.
+    consensus::RaftCluster* cluster = transport_->raft();
     Nemesis::Hooks hooks;
-    hooks.crash = [this](sim::NodeId id) {
-      consensus::RaftNode* node = cluster_->node(id);
-      if (node == nullptr) return;
-      down_.insert(id);
-      net_.SetNodeDown(id, true);
-      sim::Simulator::PartitionScope scope(&sim_, sim_.PartitionOfNode(id));
-      node->Crash();
+    hooks.join = [this, cluster](sim::NodeId id) {
+      if (id >= opts_.max_nodes || cluster->node(id) != nullptr) return;
+      lifecycle_->Join(id, [this, id](const systems::runtime::JoinReport& r) {
+        if (r.ok) joined_.insert(id);
+      });
+      WatchViews(cluster->node(id));
     };
-    hooks.restart = [this](sim::NodeId id) {
-      consensus::RaftNode* node = cluster_->node(id);
-      if (node == nullptr || down_.count(id) == 0) return;
-      down_.erase(id);
-      net_.SetNodeDown(id, false);
-      sim::Simulator::PartitionScope scope(&sim_, sim_.PartitionOfNode(id));
-      node->Restart();
+    hooks.leave = [this](sim::NodeId id) {
+      lifecycle_->Leave(id, /*drain=*/false, nullptr);
     };
-    hooks.join = [this](sim::NodeId id) { Join(id); };
-    hooks.leave = [this](sim::NodeId id) { LeaveStep(id, false); };
-    hooks.drain = [this](sim::NodeId id) { LeaveStep(id, true); };
+    hooks.drain = [this](sim::NodeId id) {
+      lifecycle_->Leave(id, /*drain=*/true, nullptr);
+    };
     Nemesis nemesis(&sim_, &net_, std::move(hooks));
-    if (opts_.partitioned) {
-      nemesis.ArmGlobal(schedule);
-    } else {
-      nemesis.Arm(schedule);
-    }
-    cluster_->StartAll();
+    nemesis.ArmGlobal(schedule);
+    transport_->Start();
+    lifecycle_->Start();
     StartClient();
-    StartMaintenance();
     sim_.RunUntil(opts_.horizon);
     sim_events_ = sim_.executed_events();
   }
@@ -1129,23 +1121,25 @@ class ElasticRaftGroup {
     CatchupDigestChecker dcheck;
     for (const auto& [index, cmd] : canon) dcheck.NoteCommitted(index, cmd);
     for (sim::NodeId id = 0; id < opts_.max_nodes; id++) {
-      if (cluster_->node(id) == nullptr) continue;
-      dcheck.CheckNode(id, frontier_[id], kv_[id]);
+      const systems::runtime::ReplicaTracker* tracker = lifecycle_->tracker(id);
+      if (tracker == nullptr) continue;
+      dcheck.CheckNode(id, tracker->applied_seq(), tracker->state());
     }
     result->report.Merge(*dcheck.report());
     // Log matching across whatever membership survived (snapshot-aware).
-    RaftInvariantChecker rcheck(cluster_->all());
+    RaftInvariantChecker rcheck(transport_->raft()->all());
     rcheck.CheckFinal();
     result->report.Merge(*rcheck.report());
     // Every scheduled join/leave must have finished inside the horizon (the
     // schedules leave a generous quiet tail).
-    consensus::RaftNode* leader = FindLeader();
+    consensus::RaftNode* leader = lifecycle_->Leader();
     for (const FaultAction& action : schedule.actions) {
-      if (action.kind == FaultAction::Kind::kJoin && !started_[action.node]) {
+      if (action.kind == FaultAction::Kind::kJoin &&
+          joined_.count(action.node) == 0) {
         result->report.Add("join-liveness",
                            "node " + std::to_string(action.node) +
                                " never finished joining (transfer + config "
-                               "change + start)");
+                               "change + start + catch-up)");
       }
       if ((action.kind == FaultAction::Kind::kLeave ||
            action.kind == FaultAction::Kind::kDrain) &&
@@ -1162,66 +1156,22 @@ class ElasticRaftGroup {
     result->sim_events = sim_events_;
   }
 
-  uint32_t rescues(sim::NodeId id) const { return rescues_[id]; }
-  uint64_t frontier(sim::NodeId id) const { return frontier_[id]; }
-  uint64_t snapshots_taken() const { return snapshots_taken_; }
-  uint64_t chunks_reused() const {
-    uint64_t total = 0;
-    for (const auto& s : stats_) total += s.chunks_reused;
-    return total;
-  }
+  uint32_t installs(sim::NodeId id) const { return lifecycle_->installs(id); }
 
  private:
-  struct Fold {
-    lifecycle::SnapshotManifest manifest;
-    uint64_t term = 0;
-    lifecycle::MembershipView view;
-  };
-
-  /// Control-plane scheduling: global events in partitioned worlds (all
-  /// partitions parked — the only safe context for world-shared state).
-  void Ctl(sim::Time delay, std::function<void()> fn) {
-    if (opts_.partitioned) {
-      sim_.ScheduleGlobal(delay, std::move(fn));
-    } else {
-      sim_.Schedule(delay, std::move(fn));
-    }
-  }
-
-  /// Highest-term claimant wins: a partitioned-away stale leader still
-  /// believes it leads until it hears the new term, and steering the client
-  /// (or a config change) at it would black-hole proposals for the whole
-  /// isolation window.
-  consensus::RaftNode* FindLeader() {
-    consensus::RaftNode* best = nullptr;
-    for (consensus::RaftNode* node : cluster_->all()) {
-      if (!node->IsLeader() || node->retired()) continue;
-      if (best == nullptr || node->current_term() > best->current_term()) {
-        best = node;
-      }
-    }
-    return best;
-  }
-
-  void WireNode(consensus::RaftNode* node) {
+  /// Records every membership view `node` commits (node-confined: fires on
+  /// the node's own partition).
+  void WatchViews(consensus::RaftNode* node) {
     sim::NodeId id = node->id();
     node->set_on_config_change(
         [this, id](const lifecycle::MembershipView& view) {
           views_[id].push_back(view);
-          // A joiner replaying config entries that predate its own admission
-          // correctly sees views without itself — only a disappearance
-          // *after* admission means it was removed.
-          if (view.Contains(id)) {
-            admitted_[id] = 1;
-          } else if (admitted_[id]) {
-            left_[id] = 1;
-          }
         });
   }
 
   void StartClient() {
     client_tick_ = [this] {
-      consensus::RaftNode* leader = FindLeader();
+      consensus::RaftNode* leader = lifecycle_->Leader();
       if (leader != nullptr) {
         sim::Simulator::PartitionScope scope(&sim_,
                                              sim_.PartitionOfNode(leader->id()));
@@ -1235,278 +1185,28 @@ class ElasticRaftGroup {
           sim_.Now() < opts_.flash_end) {
         gap = opts_.flash_gap;
       }
-      Ctl(gap, client_tick_);
+      sim_.ScheduleGlobal(gap, client_tick_);
     };
-    Ctl(10 * sim::kMs, client_tick_);
-  }
-
-  void StartMaintenance() {
-    maintenance_tick_ = [this] {
-      MaybeFold();
-      RescueLaggards();
-      Ctl(120 * sim::kMs, maintenance_tick_);
-    };
-    Ctl(120 * sim::kMs, maintenance_tick_);
-  }
-
-  /// Periodic snapshot on EVERY live replica (each folds its own applied
-  /// prefix, as real replicas checkpoint independently): chunk the applied
-  /// state, keep the manifest + term + membership for future transfers,
-  /// compact the log. Because followers compact too, a long-isolated
-  /// laggard can never be back-filled from someone's intact log — recovery
-  /// has to go through the delta snapshot transfer path.
-  void MaybeFold() {
-    for (consensus::RaftNode* node : cluster_->all()) {
-      sim::NodeId id = node->id();
-      if (!started_[id] || left_[id] || down_.count(id) > 0 ||
-          node->crashed() || node->retired()) {
-        continue;
-      }
-      if (node->last_applied() <
-          node->snapshot_index() + opts_.snapshot_every) {
-        continue;
-      }
-      uint64_t anchor = node->last_applied();
-      Fold& fold = folds_[id];
-      fold.term = node->EntryTerm(anchor);
-      fold.view = node->membership();
-      fold.manifest =
-          lifecycle::BuildSnapshot(kv_[id], anchor, snap_config_, &store_[id]);
-      {
-        sim::Simulator::PartitionScope scope(&sim_, sim_.PartitionOfNode(id));
-        node->InstallSnapshot(anchor, fold.term);
-      }
-      snapshots_taken_++;
-    }
-  }
-
-  /// A follower whose replication position fell below the leader's snapshot
-  /// anchor can never be back-filled from the log (those entries are
-  /// compacted away) — rescue it with a delta snapshot transfer.
-  void RescueLaggards() {
-    consensus::RaftNode* leader = FindLeader();
-    if (leader == nullptr) return;
-    const Fold& fold = folds_[leader->id()];
-    if (fold.manifest.empty() ||
-        fold.manifest.anchor != leader->snapshot_index()) {
-      return;  // this leader has no fold matching its own anchor yet
-    }
-    for (sim::NodeId id = 0; id < opts_.max_nodes; id++) {
-      if (id == leader->id() || transfer_busy_[id] || left_[id] ||
-          !started_[id] || down_.count(id) > 0) {
-        continue;
-      }
-      consensus::RaftNode* node = cluster_->node(id);
-      if (node == nullptr || node->retired()) continue;
-      if (node->commit_index() >= leader->snapshot_index()) continue;
-      if (leader->match_index_of(id) >= leader->snapshot_index()) continue;
-      StartTransfer(leader->id(), id, fold);
-    }
-  }
-
-  void Join(sim::NodeId id) {
-    if (id >= opts_.max_nodes || cluster_->node(id) != nullptr) return;
-    // The joiner's version-0 view is the BOOTSTRAP config, not the current
-    // membership: if it ends up replaying the log from entry 1 (leader has
-    // not compacted), applying each config entry reconstructs every version
-    // exactly as the original replicas saw it. A snapshot install merely
-    // fast-forwards past that replay.
-    std::vector<sim::NodeId> peers;
-    for (sim::NodeId m : MakeIds(opts_.initial_nodes)) {
-      if (m != id) peers.push_back(m);
-    }
-    WireNode(cluster_->AddNode(id, peers));
-    JoinStep(id);
-  }
-
-  /// Join state machine, advanced by polling (robust against leadership
-  /// churn, duplicate proposals, and transfer failures — every phase simply
-  /// re-runs until its postcondition holds):
-  ///   1. state: pull a verified snapshot if the group compacted past us
-  ///   2. membership: replicate "#cfg add <id>" until we are a member
-  ///   3. start: arm timers once admitted
-  void JoinStep(sim::NodeId id) {
-    if (left_[id]) return;  // removed before the join finished: abandon
-    consensus::RaftNode* node = cluster_->node(id);
-    consensus::RaftNode* leader = FindLeader();
-    if (leader == nullptr) {
-      Ctl(250 * sim::kMs, [this, id] { JoinStep(id); });
-      return;
-    }
-    if (leader->snapshot_index() > node->commit_index()) {
-      const Fold& fold = folds_[leader->id()];
-      if (!transfer_busy_[id] && !fold.manifest.empty() &&
-          fold.manifest.anchor == leader->snapshot_index()) {
-        StartTransfer(leader->id(), id, fold);
-      }
-      Ctl(250 * sim::kMs, [this, id] { JoinStep(id); });
-      return;
-    }
-    if (!leader->membership().Contains(id)) {
-      lifecycle::ConfigChange cc;
-      cc.kind = lifecycle::ConfigChangeKind::kAddNode;
-      cc.node = id;
-      {
-        sim::Simulator::PartitionScope scope(&sim_,
-                                             sim_.PartitionOfNode(leader->id()));
-        leader->ProposeConfigChange(cc, [](Status, uint64_t) {});
-      }
-      Ctl(300 * sim::kMs, [this, id] { JoinStep(id); });
-      return;
-    }
-    if (!started_[id]) {
-      sim::Simulator::PartitionScope scope(&sim_, sim_.PartitionOfNode(id));
-      node->Start();
-      started_[id] = 1;
-      joins_completed_++;
-    }
-  }
-
-  /// Leave state machine: with `drain`, a leader first hands leadership to
-  /// its most caught-up follower (TransferLeadership pushes the backlog and
-  /// sends TimeoutNow), then the removal replicates like any other change.
-  void LeaveStep(sim::NodeId id, bool drain) {
-    consensus::RaftNode* node = cluster_->node(id);
-    if (node == nullptr) return;
-    consensus::RaftNode* leader = FindLeader();
-    if (leader == nullptr) {
-      Ctl(250 * sim::kMs, [this, id, drain] { LeaveStep(id, drain); });
-      return;
-    }
-    if (!leader->membership().Contains(id)) {
-      leaves_completed_++;
-      return;
-    }
-    if (drain && leader->id() == id) {
-      sim::NodeId target = BestDrainTarget(leader);
-      if (target != id) {
-        sim::Simulator::PartitionScope scope(&sim_, sim_.PartitionOfNode(id));
-        leader->TransferLeadership(target);
-      }
-      Ctl(400 * sim::kMs, [this, id, drain] { LeaveStep(id, drain); });
-      return;
-    }
-    lifecycle::ConfigChange cc;
-    cc.kind = lifecycle::ConfigChangeKind::kRemoveNode;
-    cc.node = id;
-    {
-      sim::Simulator::PartitionScope scope(&sim_,
-                                           sim_.PartitionOfNode(leader->id()));
-      leader->ProposeConfigChange(cc, [](Status, uint64_t) {});
-    }
-    Ctl(300 * sim::kMs, [this, id, drain] { LeaveStep(id, drain); });
-  }
-
-  sim::NodeId BestDrainTarget(consensus::RaftNode* leader) {
-    sim::NodeId best = leader->id();
-    uint64_t best_match = 0;
-    bool found = false;
-    for (sim::NodeId m : leader->membership().members) {
-      if (m == leader->id() || left_[m] || down_.count(m) > 0) continue;
-      consensus::RaftNode* node = cluster_->node(m);
-      if (node == nullptr || node->crashed()) continue;
-      uint64_t match = leader->match_index_of(m);
-      if (!found || match > best_match) {
-        best = m;
-        best_match = match;
-        found = true;
-      }
-    }
-    return best;
-  }
-
-  void StartTransfer(sim::NodeId source, sim::NodeId joiner, Fold fold) {
-    transfer_busy_[joiner] = 1;
-    lifecycle::SnapshotTransfer::Source src;
-    src.available = [this, source] {
-      consensus::RaftNode* node = cluster_->node(source);
-      return node != nullptr && !node->crashed();
-    };
-    // The manifest is frozen at transfer start so its (anchor, term, view)
-    // triple stays consistent even if the source folds again mid-transfer;
-    // the chunk store keeps old chunks, so the frozen digests stay servable.
-    src.manifest = [fold] { return fold.manifest; };
-    src.chunks = [this, source] { return &store_[source]; };
-    src.log_suffix = [](uint64_t) { return lifecycle::LogSuffix{}; };
-    sim::Simulator::PartitionScope scope(&sim_, sim_.PartitionOfNode(joiner));
-    lifecycle::SnapshotTransfer::Start(
-        &sim_, &net_, source, joiner, std::move(src), &store_[joiner],
-        [this, joiner] {
-          consensus::RaftNode* node = cluster_->node(joiner);
-          return node != nullptr && !node->crashed() && !left_[joiner];
-        },
-        transfer_config_,
-        [this, joiner, fold](lifecycle::TransferResult result) {
-          // Joiner partition.
-          transfer_busy_[joiner] = 0;
-          lifecycle::CatchupStats& acc = stats_[joiner];
-          acc.control_bytes += result.stats.control_bytes;
-          acc.manifest_bytes += result.stats.manifest_bytes;
-          acc.chunk_bytes += result.stats.chunk_bytes;
-          acc.chunks_fetched += result.stats.chunks_fetched;
-          acc.chunks_reused += result.stats.chunks_reused;
-          acc.retries += result.stats.retries;
-          if (!result.ok) {
-            transfers_failed_[joiner]++;
-            return;
-          }
-          FinishTransfer(joiner, fold);
-        });
-  }
-
-  void FinishTransfer(sim::NodeId joiner, const Fold& fold) {
-    consensus::RaftNode* node = cluster_->node(joiner);
-    // A rescue that raced normal replication past the anchor is stale.
-    if (node == nullptr || fold.manifest.anchor <= node->commit_index()) return;
-    std::map<std::string, std::string> state;
-    if (!lifecycle::RestoreSnapshot(fold.manifest, store_[joiner], &state)) {
-      transfers_failed_[joiner]++;
-      return;
-    }
-    kv_[joiner] = std::move(state);
-    frontier_[joiner] = fold.manifest.anchor;
-    node->InstallSnapshot(fold.manifest.anchor, fold.term, fold.view);
-    folds_[joiner] = fold;  // this node can now source future transfers
-    rescues_[joiner]++;
+    sim_.ScheduleGlobal(10 * sim::kMs, client_tick_);
   }
 
   ElasticOptions opts_;
   sim::Simulator sim_;
   sim::SimNetwork net_;
   sim::CostModel costs_;
-  lifecycle::SnapshotConfig snap_config_;
-  /// Fail-fast transfer policy: a transfer aimed at (or from) a node behind
-  /// a network partition is doomed, and while it retries the target's busy
-  /// flag blocks any replacement. Short attempts + the 120ms maintenance
-  /// tick re-initiating with a fresh fold beat long in-place backoff.
-  lifecycle::TransferConfig transfer_config_{/*retry_timeout=*/150 * sim::kMs,
-                                             /*max_attempts=*/4};
-  std::unique_ptr<consensus::RaftCluster> cluster_;
+  systems::runtime::ElasticityConfig elasticity_;
+  std::unique_ptr<systems::runtime::Transport> transport_;
+  std::unique_ptr<systems::runtime::RaftLifecycle> lifecycle_;
 
-  // Node-confined state (only touched on the owning node's partition).
-  std::vector<std::map<std::string, std::string>> kv_;
+  // Node-confined observations (only appended on the owning partition).
   std::vector<std::vector<std::pair<uint64_t, std::string>>> applied_;
-  std::vector<uint64_t> frontier_;
   std::vector<std::vector<lifecycle::MembershipView>> views_;
-  std::vector<lifecycle::ChunkStore> store_;
-  std::vector<Fold> folds_;
-  std::vector<lifecycle::CatchupStats> stats_;
-  std::vector<uint8_t> transfer_busy_;
-  std::vector<uint32_t> transfers_failed_;
-  std::vector<uint8_t> left_;
-  std::vector<uint8_t> admitted_;
-  std::vector<uint8_t> started_;
-  std::vector<uint32_t> rescues_;
 
-  // Control-plane state (ctl events only).
-  std::set<sim::NodeId> down_;
+  // Control-plane state (global events only).
+  std::set<sim::NodeId> joined_;
   uint64_t next_op_ = 0;
-  uint64_t snapshots_taken_ = 0;
-  uint64_t joins_completed_ = 0;
-  uint64_t leaves_completed_ = 0;
   uint64_t sim_events_ = 0;
   std::function<void()> client_tick_;
-  std::function<void()> maintenance_tick_;
 };
 
 // Scale-out during a flash crowd, on the parallel engine: 3 replicas grow to
@@ -1642,7 +1342,7 @@ ScenarioResult RunLaggardRejoinScenario(const ScenarioOptions& options) {
   // Both isolation windows outlast several snapshot intervals, so log
   // back-fill is impossible and the laggard's recovery proves the delta
   // catch-up path ran.
-  if (world.rescues(laggard) == 0 && result.report.ok()) {
+  if (world.installs(laggard) == 0 && result.report.ok()) {
     result.report.Add("catchup-liveness",
                       "laggard node " + std::to_string(laggard) +
                           " was never rescued by a snapshot transfer despite "

@@ -92,6 +92,9 @@ struct Scenario {
 ///   laggard_rejoin        a replica isolated across multiple snapshot
 ///                         intervals must recover via delta catch-up, its
 ///                         state digest checked against full replay
+/// The three lifecycle scenarios drive the shipped driver
+/// (runtime::RaftLifecycle over runtime::Transport): their joins and leaves
+/// are the calls etcd's AddReplica/RemoveReplica make.
 const std::vector<Scenario>& AllScenarios();
 const Scenario* FindScenario(const std::string& name);
 
