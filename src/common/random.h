@@ -65,11 +65,13 @@ class Rng {
   }
 
   /// Random printable-byte string of exactly n bytes (workload payloads).
+  /// One Uniform(26) draw per byte, in order: the stream is part of every
+  /// golden baseline.
   std::string Bytes(size_t n) {
-    std::string s;
-    s.reserve(n);
+    std::string s(n, '\0');
+    char* out = s.data();
     for (size_t i = 0; i < n; i++) {
-      s.push_back(static_cast<char>('a' + Uniform(26)));
+      out[i] = static_cast<char>('a' + Uniform(26));
     }
     return s;
   }

@@ -162,7 +162,7 @@ void RaftNode::BecomeLeader() {
   config_change_inflight_ = 0;
   for (uint64_t i = commit_index_ + 1; i <= log_size(); i++) {
     if (i > snapshot_index_ &&
-        lifecycle::IsConfigChangeCommand(EntryAt(i).cmd)) {
+        lifecycle::IsConfigChangeCommand(*EntryAt(i).cmd)) {
       config_change_inflight_ = i;
     }
   }
@@ -188,7 +188,8 @@ void RaftNode::Propose(std::string cmd, CommitCallback cb) {
     cb(Status::Unavailable("not leader"), 0);
     return;
   }
-  log_.push_back({current_term_, std::move(cmd)});
+  log_.push_back(
+      {current_term_, std::make_shared<const std::string>(std::move(cmd))});
   uint64_t index = log_size();
   pending_[index] = std::move(cb);
   // Propose timestamps only accumulate while a trace sink is attached: the
@@ -308,7 +309,7 @@ void RaftNode::SendAppendTo(NodeId peer) {
          bytes < config_.max_batch_bytes;
          i++) {
       args.entries.push_back(EntryAt(i));
-      bytes += 16 + EntryAt(i).cmd.size();
+      bytes += 16 + EntryAt(i).cmd->size();
     }
     if (!args.entries.empty()) {
       inflight_[peer] =
@@ -317,16 +318,21 @@ void RaftNode::SendAppendTo(NodeId peer) {
   }
   RaftNode* target = group_.at(peer);
   if (args.entries.empty()) {
-    SendTo(peer, bytes, [target, args] { target->HandleAppendEntries(args); });
+    SendTo(peer, bytes, [target, args = std::move(args)] {
+      target->HandleAppendEntries(args);
+    });
     return;
   }
   // Per-entry marshaling work for this follower occupies the leader CPU
   // before the batch hits the wire.
   Time cost = static_cast<Time>(args.entries.size()) *
               costs_->raft_leader_per_follower_us;
-  cpu_.Submit(cost, [this, peer, target, bytes, args = std::move(args)] {
+  cpu_.Submit(cost, [this, peer, target, bytes,
+                     args = std::move(args)]() mutable {
     if (crashed_ || role_ != RaftRole::kLeader) return;
-    SendTo(peer, bytes, [target, args] { target->HandleAppendEntries(args); });
+    SendTo(peer, bytes, [target, args = std::move(args)] {
+      target->HandleAppendEntries(args);
+    });
   });
 }
 
@@ -466,11 +472,12 @@ void RaftNode::AdvanceCommit() {
 void RaftNode::ApplyCommitted() {
   while (last_applied_ < commit_index_) {
     last_applied_++;
-    const LogEntry& entry = EntryAt(last_applied_);
-    if (!entry.cmd.empty() && lifecycle::IsConfigChangeCommand(entry.cmd)) {
-      ApplyConfigEntry(entry.cmd);
+    // Held by value: apply_ may compact the log entry that owns it.
+    std::shared_ptr<const std::string> cmd = EntryAt(last_applied_).cmd;
+    if (!cmd->empty() && lifecycle::IsConfigChangeCommand(*cmd)) {
+      ApplyConfigEntry(*cmd);
     }
-    if (apply_) apply_(last_applied_, entry.cmd);
+    if (apply_) apply_(last_applied_, *cmd);
     if (!propose_times_.empty()) {
       auto span = propose_times_.find(last_applied_);
       if (span != propose_times_.end()) {
@@ -715,10 +722,14 @@ RaftNode* RaftCluster::AddNode(NodeId id, const std::vector<NodeId>& peers) {
 }
 
 RaftNode* RaftCluster::leader() {
+  RaftNode* best = nullptr;
   for (auto& [id, node] : nodes_) {
-    if (node->IsLeader()) return node.get();
+    if (!node->IsLeader() || node->retired()) continue;
+    if (best == nullptr || node->current_term() > best->current_term()) {
+      best = node.get();
+    }
   }
-  return nullptr;
+  return best;
 }
 
 std::vector<RaftNode*> RaftCluster::all() {

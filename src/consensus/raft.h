@@ -97,7 +97,9 @@ class RaftNode {
   void Start();
 
   /// Leader-only: replicate `cmd`; `cb` fires on commit or when leadership
-  /// is lost. On a non-leader fails immediately with Unavailable.
+  /// is lost. On a non-leader fails immediately with Unavailable. The
+  /// command becomes one immutable buffer that every log and AppendEntries
+  /// batch holding it shares.
   void Propose(std::string cmd, CommitCallback cb);
 
   /// Failure injection.
@@ -172,7 +174,7 @@ class RaftNode {
   /// Committed command at 1-based absolute log index (test oracle).
   /// Precondition: index > snapshot_index() — compacted entries are gone.
   const std::string& CommittedEntry(uint64_t index) const {
-    return log_[index - snapshot_index_ - 1].cmd;
+    return *log_[index - snapshot_index_ - 1].cmd;
   }
   /// Term of the entry at 1-based absolute index (invariant checkers).
   /// Precondition: index > snapshot_index().
@@ -181,9 +183,11 @@ class RaftNode {
   }
 
  private:
+  /// Copying an entry copies the pointer: the leader's log, in-flight
+  /// batches and follower logs share each command's bytes.
   struct LogEntry {
     uint64_t term;
-    std::string cmd;
+    std::shared_ptr<const std::string> cmd;
   };
   struct AppendEntriesArgs {
     uint64_t term;
@@ -304,7 +308,9 @@ class RaftCluster {
     auto it = nodes_.find(id);
     return it == nodes_.end() ? nullptr : it->second.get();
   }
-  /// The current leader, or nullptr if none (unstable period).
+  /// The live, non-retired leader of the highest term, or nullptr if none
+  /// (unstable period). A leader cut off by a partition still believes it
+  /// leads; its successor's higher term wins.
   RaftNode* leader();
   std::vector<RaftNode*> all();
   /// Starts every node under its partition's scope, so election timers in a

@@ -101,15 +101,15 @@ void BlockPipeline::CutAndPropose() {
   // The cut occupies the proposer's CPU; the block goes to consensus when
   // it finishes, provided the proposer still leads.
   proposer.cpu.Submit(cut_cost, [this, proposer_id,
-                                 serialized = block.Serialize()] {
+                                 serialized = block.Serialize()]() mutable {
     if (transport_->raft() != nullptr) {
       consensus::RaftNode* leader = transport_->raft()->leader();
       if (leader == nullptr || leader->id() != proposer_id) return;
-      leader->Propose(serialized, [](Status, uint64_t) {});
+      leader->Propose(std::move(serialized), [](Status, uint64_t) {});
     } else {
       consensus::BftNode* primary = transport_->bft()->primary();
       if (primary == nullptr) return;
-      primary->Submit(serialized, [](Status, uint64_t) {});
+      primary->Submit(std::move(serialized), [](Status, uint64_t) {});
     }
   });
 }
@@ -124,20 +124,21 @@ void BlockPipeline::OnCommitted(sim::NodeId node_id, uint64_t seq,
   BlockNode* node = &nodes_.at(node_id);
   auto shared = std::make_shared<ledger::Block>(std::move(block));
   node->cpu.Submit(cost, [this, node_id, node, shared, ordered_time] {
+    // Replies only enqueue sends, so answering before the append below
+    // moves the block into the chain changes no event.
+    if (node_id == CompletionId()) {
+      for (const auto& txn : shared->txns) {
+        PendingTxn pending;
+        if (!inflight_.Take(txn.txn_id, &pending)) continue;
+        Reply(node_id, std::move(pending), txn.valid, ordered_time);
+      }
+    }
     // Re-link the block onto this replica's own chain (proposer chains can
     // briefly diverge across view changes; every chain stays linear).
-    ledger::Block to_append = *shared;
-    to_append.header.number = node->chain.height();
-    to_append.header.parent = node->chain.TipDigest();
-    to_append.SealTxnRoot();
-    node->chain.Append(std::move(to_append));
-
-    if (node_id != CompletionId()) return;
-    for (const auto& txn : shared->txns) {
-      PendingTxn pending;
-      if (!inflight_.Take(txn.txn_id, &pending)) continue;
-      Reply(node_id, std::move(pending), txn.valid, ordered_time);
-    }
+    shared->header.number = node->chain.height();
+    shared->header.parent = node->chain.TipDigest();
+    shared->SealTxnRoot();
+    node->chain.Append(std::move(*shared));
   });
 }
 

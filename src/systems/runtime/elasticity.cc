@@ -212,17 +212,6 @@ void RaftLifecycle::OnApply(sim::NodeId node, uint64_t seq,
   r.tracker->OnEntry(seq, raft->EntryTerm(seq), writes);
 }
 
-consensus::RaftNode* RaftLifecycle::Leader() {
-  consensus::RaftNode* best = nullptr;
-  for (consensus::RaftNode* node : cluster_->all()) {
-    if (!node->IsLeader() || node->retired()) continue;
-    if (best == nullptr || node->current_term() > best->current_term()) {
-      best = node;
-    }
-  }
-  return best;
-}
-
 ReplicaTracker* RaftLifecycle::tracker(sim::NodeId id) {
   auto it = replicas_.find(id);
   return it == replicas_.end() ? nullptr : it->second.tracker.get();
@@ -238,7 +227,7 @@ void RaftLifecycle::Tick() {
   // snapshot anchor can never be back-filled (those entries are compacted
   // away). The receiver's chunk store still holds earlier rounds' chunks,
   // so each round ships only the buckets dirtied since.
-  consensus::RaftNode* leader = Leader();
+  consensus::RaftNode* leader = cluster_->leader();
   if (leader != nullptr) {
     for (auto& [id, r] : replicas_) {
       consensus::RaftNode* node = cluster_->node(id);
@@ -268,7 +257,7 @@ void RaftLifecycle::Join(sim::NodeId id, JoinDoneFn done) {
 void RaftLifecycle::JoinStep(sim::NodeId id) {
   Replica& r = replicas_.at(id);
   consensus::RaftNode* node = cluster_->node(id);
-  consensus::RaftNode* leader = Leader();
+  consensus::RaftNode* leader = cluster_->leader();
   // A joiner removed before it finished is abandoned.
   bool finished = node->retired();
   if (!finished && leader != nullptr) {
@@ -303,7 +292,7 @@ void RaftLifecycle::JoinStep(sim::NodeId id) {
 
 void RaftLifecycle::Leave(sim::NodeId id, bool drain,
                           std::function<void()> done) {
-  consensus::RaftNode* leader = Leader();
+  consensus::RaftNode* leader = cluster_->leader();
   if (leader != nullptr) {
     if (!leader->membership().Contains(id)) {
       if (done != nullptr) done();

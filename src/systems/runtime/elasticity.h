@@ -175,9 +175,10 @@ void StartReplicaJoin(
 /// Control steps run as global events (Simulator::ScheduleGlobal, a plain
 /// Schedule in single-partition worlds) and node work runs inside the
 /// node's PartitionScope, so partitioned worlds replay identically at any
-/// thread count. The leader is the highest-term claimant: a stale leader
-/// cut off by a partition still believes it leads, and a config change
-/// proposed there would stall until the partition heals.
+/// thread count. The leader is RaftCluster::leader(), the highest-term
+/// claimant: a stale leader cut off by a partition still believes it
+/// leads, and a config change proposed there would stall until the
+/// partition heals.
 class RaftLifecycle {
  public:
   using Writes = std::vector<std::pair<std::string, std::string>>;
@@ -224,8 +225,6 @@ class RaftLifecycle {
   /// membership no longer contains it.
   void Leave(sim::NodeId id, bool drain, std::function<void()> done);
 
-  /// The highest-term live leader, or null.
-  consensus::RaftNode* Leader();
   /// The replica's tracker; null for ids outside the group.
   ReplicaTracker* tracker(sim::NodeId id);
   /// Transfers installed on `id` (its join included).

@@ -1132,7 +1132,7 @@ class ElasticRaftGroup {
     result->report.Merge(*rcheck.report());
     // Every scheduled join/leave must have finished inside the horizon (the
     // schedules leave a generous quiet tail).
-    consensus::RaftNode* leader = lifecycle_->Leader();
+    consensus::RaftNode* leader = transport_->raft()->leader();
     for (const FaultAction& action : schedule.actions) {
       if (action.kind == FaultAction::Kind::kJoin &&
           joined_.count(action.node) == 0) {
@@ -1171,7 +1171,7 @@ class ElasticRaftGroup {
 
   void StartClient() {
     client_tick_ = [this] {
-      consensus::RaftNode* leader = lifecycle_->Leader();
+      consensus::RaftNode* leader = transport_->raft()->leader();
       if (leader != nullptr) {
         sim::Simulator::PartitionScope scope(&sim_,
                                              sim_.PartitionOfNode(leader->id()));

@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <string>
 #include <vector>
+
+#include "crypto/sha256.h"
 
 namespace dicho {
 namespace {
@@ -68,6 +71,16 @@ TEST(RngTest, BytesHasRequestedLength) {
   Rng rng(17);
   EXPECT_EQ(rng.Bytes(0).size(), 0u);
   EXPECT_EQ(rng.Bytes(1000).size(), 1000u);
+}
+
+// Workload values come from Bytes, so its byte stream is part of every
+// golden baseline: a faster Bytes must draw exactly the same characters.
+TEST(RngTest, BytesStreamIsPinned) {
+  Rng rng(7);
+  std::string bytes = rng.Bytes(1000);
+  EXPECT_EQ(bytes.substr(0, 16), "hmgcepyydttkhptb");
+  EXPECT_EQ(crypto::DigestHex(crypto::Sha256Hash(bytes)),
+            "706695d2bec8173b56951323f110b085bfcec1f68357914a2f5f796eff2db1d6");
 }
 
 TEST(ZipfianTest, ThetaZeroIsUniform) {

@@ -95,6 +95,42 @@ TEST(EtcdSystemTest, QueryReturnsLoadedValue) {
   EXPECT_LT(result.latency(), 2 * sim::kMs);
 }
 
+// A leader cut off by a partition still believes it leads. Writes must go
+// to its successor, the leader of the higher term, so commits resume while
+// the old leader is away.
+TEST(EtcdSystemTest, CommitsResumeThroughSuccessorOfCutOffLeader) {
+  EtcdHarness h;
+  consensus::RaftCluster* raft = h.system->transport()->raft();
+  ASSERT_NE(raft->leader(), nullptr);
+  const NodeId cut = raft->leader()->id();
+  std::vector<NodeId> rest;
+  for (NodeId id = 0; id < 5; id++) {
+    if (id != cut) rest.push_back(id);
+  }
+  h.net.Partition({{cut}, rest});
+  h.sim.RunFor(1 * sim::kSec);
+  ASSERT_TRUE(raft->node(cut)->IsLeader());
+  consensus::RaftNode* successor = raft->leader();
+  ASSERT_NE(successor, nullptr);
+  EXPECT_NE(successor->id(), cut);
+
+  int committed = 0;
+  for (int i = 0; i < 100; i++) {
+    h.sim.Schedule(static_cast<sim::Time>(i) * 5 * sim::kMs, [&, i] {
+      h.system->Submit(PutTxn(static_cast<uint64_t>(i + 1),
+                              "key" + std::to_string(i), "value"),
+                       [&](const core::TxnResult& r) {
+                         if (r.status.ok()) committed++;
+                       });
+    });
+  }
+  h.sim.RunFor(2 * sim::kSec);
+  EXPECT_EQ(committed, 100);
+  std::string value;
+  ASSERT_TRUE(h.system->state_of(successor->id())->Get("key99", &value).ok());
+  EXPECT_EQ(value, "value");
+}
+
 // ---------------------------------------------------------------------------
 // Quorum
 // ---------------------------------------------------------------------------
