@@ -249,9 +249,41 @@ void MerklePatriciaTrie::ToNibbles(const Slice& key, Nibbles* out) {
   }
 }
 
+MerklePatriciaTrie::Checkpoint MerklePatriciaTrie::checkpoint() const {
+  Checkpoint c;
+  c.root = root_;
+  c.size = size_;
+  c.total_node_bytes = total_node_bytes_;
+  c.out_of_line_values = out_of_line_values_;
+  c.value_dedup_hits = value_dedup_hits_;
+  c.batch_reuse_hits = batch_reuse_hits_;
+  c.last_update_nodes = last_update_nodes_;
+  c.store = nodes_.get();
+  c.inline_value_threshold = options_.inline_value_threshold;
+  return c;
+}
+
+bool MerklePatriciaTrie::Adopt(const Checkpoint& before,
+                               const Checkpoint& after) {
+  if (after.store != nodes_.get() ||
+      after.inline_value_threshold != options_.inline_value_threshold ||
+      !staged_.empty() || root_ != before.root) {
+    return false;
+  }
+  root_ = after.root;
+  has_root_ = after.size > 0;
+  size_ += after.size - before.size;
+  total_node_bytes_ += after.total_node_bytes - before.total_node_bytes;
+  out_of_line_values_ += after.out_of_line_values - before.out_of_line_values;
+  value_dedup_hits_ += after.value_dedup_hits - before.value_dedup_hits;
+  batch_reuse_hits_ += after.batch_reuse_hits - before.batch_reuse_hits;
+  last_update_nodes_ = after.last_update_nodes;
+  return true;
+}
+
 MerklePatriciaTrie::Digest MerklePatriciaTrie::Store(const Slice& serialized) {
   Digest digest = crypto::Sha256Hash(serialized);
-  if (nodes_.Insert(digest, serialized)) {
+  if (nodes_->Insert(digest, serialized)) {
     total_node_bytes_ += 32 + serialized.size();
   }
   last_update_nodes_++;
@@ -286,7 +318,7 @@ MerklePatriciaTrie::Digest MerklePatriciaTrie::StoreValue(const Slice& value,
     return memo.digest;
   }
   Digest digest = crypto::Sha256Hash(value);
-  if (values_.Insert(digest, value)) {
+  if (values_->Insert(digest, value)) {
     total_node_bytes_ += 32 + value.size();
     out_of_line_values_++;
     *newly_stored = true;
@@ -297,7 +329,7 @@ MerklePatriciaTrie::Digest MerklePatriciaTrie::StoreValue(const Slice& value,
   // Point the memo at the arena copy — stable for the trie's lifetime,
   // unlike the caller's buffer.
   Slice stored;
-  bool found = values_.Find(digest, &stored);
+  bool found = values_->Find(digest, &stored);
   assert(found);
   (void)found;
   memo.data = stored.data();
@@ -345,7 +377,7 @@ MerklePatriciaTrie::Digest MerklePatriciaTrie::InsertAt(
     return Store(node_scratch_);
   }
   Slice raw;
-  bool found = nodes_.Find(*node_digest, &raw);
+  bool found = nodes_->Find(*node_digest, &raw);
   assert(found);
   (void)found;
   NodeView node;
@@ -570,7 +602,7 @@ MerklePatriciaTrie::Digest MerklePatriciaTrie::BatchInsertAt(
     node = static_cast<const NodeView*>(view);
   } else {
     Slice raw;
-    bool found = nodes_.Find(*node_digest, &raw);
+    bool found = nodes_->Find(*node_digest, &raw);
     assert(found);
     (void)found;
     bool ok = ParseNode(raw, &parsed);
@@ -749,7 +781,7 @@ Status MerklePatriciaTrie::GetAt(const Digest& node_digest,
                                  std::string* value,
                                  std::vector<std::string>* proof_nodes) const {
   Slice raw;
-  if (!nodes_.Find(node_digest, &raw)) {
+  if (!nodes_->Find(node_digest, &raw)) {
     return Status::Corruption("dangling node hash");
   }
   if (proof_nodes != nullptr) proof_nodes->push_back(raw.ToString());
@@ -759,7 +791,7 @@ Status MerklePatriciaTrie::GetAt(const Digest& node_digest,
   auto load_value = [&]() -> Status {
     if (node.value_out_of_line) {
       Slice stored;
-      if (!values_.Find(node.value_digest, &stored)) {
+      if (!values_->Find(node.value_digest, &stored)) {
         return Status::Corruption("dangling value digest");
       }
       value->assign(stored.data(), stored.size());
@@ -808,7 +840,7 @@ uint64_t MerklePatriciaTrie::ReachableBytes() const {
 
 uint64_t MerklePatriciaTrie::ReachableBytesAt(const Digest& node_digest) const {
   Slice raw;
-  if (!nodes_.Find(node_digest, &raw)) return 0;
+  if (!nodes_->Find(node_digest, &raw)) return 0;
   NodeView node;
   if (!ParseNode(raw, &node)) return 0;
   uint64_t total = 32 + raw.size();

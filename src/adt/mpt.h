@@ -4,6 +4,7 @@
 #include <cassert>
 #include <cstdint>
 #include <deque>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -70,15 +71,60 @@ class MerklePatriciaTrie {
   MerklePatriciaTrie() = default;
   explicit MerklePatriciaTrie(MptOptions options) : options_(options) {}
 
+  // Copying would silently share the node stores; ShareStoresOf says so.
+  MerklePatriciaTrie(const MerklePatriciaTrie&) = delete;
+  MerklePatriciaTrie& operator=(const MerklePatriciaTrie&) = delete;
+
   /// Sets options on a still-empty trie — for owners that default-construct
   /// their tries (NodeSet members) and opt into the fast storage path
   /// afterwards. Must be called before the first Put/StagePut; the
   /// representation is part of the root commitment, so flipping it on a
-  /// populated trie would split the state across two encodings.
+  /// populated trie would split the state across two encodings. The node
+  /// stores may already hold other tries' nodes (ShareStoresOf).
   void Configure(MptOptions options) {
-    assert(size_ == 0 && nodes_.size() == 0 && staged_.empty());
+    assert(size_ == 0 && staged_.empty());
     options_ = options;
   }
+
+  /// Makes this still-empty trie file its nodes and out-of-line values in
+  /// `owner`'s content-addressed stores, which then live as long as either
+  /// trie. Each trie keeps its own root, size() and counters; a node both
+  /// write is stored once. Tries sharing stores must be used from one
+  /// thread at a time.
+  void ShareStoresOf(const MerklePatriciaTrie& owner) {
+    assert(size_ == 0 && staged_.empty());
+    nodes_ = owner.nodes_;
+    values_ = owner.values_;
+  }
+  bool SharesStoresWith(const MerklePatriciaTrie& other) const {
+    return nodes_ == other.nodes_;
+  }
+
+  /// A trie's logical state: its root and everything it reports. Two
+  /// checkpoints taken around an update on one trie describe that update,
+  /// which another trie sharing its stores can then Adopt.
+  struct Checkpoint {
+    crypto::Digest root = crypto::ZeroDigest();
+    size_t size = 0;
+    uint64_t total_node_bytes = 0;
+    uint64_t out_of_line_values = 0;
+    uint64_t value_dedup_hits = 0;
+    uint64_t batch_reuse_hits = 0;
+    size_t last_update_nodes = 0;
+    /// Identify the stores and encoding the root was computed under.
+    const NodeStore* store = nullptr;
+    size_t inline_value_threshold = SIZE_MAX;
+  };
+  Checkpoint checkpoint() const;
+
+  /// Applies the update another trie made from `before` to `after` without
+  /// recomputing it: the root moves to `after.root`, whose nodes are
+  /// already in the shared store, and every counter advances by the same
+  /// delta, so this trie reads as if it had made the update itself.
+  /// Returns false, changing nothing, unless this trie shares the store the
+  /// update was computed in, uses the same encoding, has nothing staged
+  /// and sits at `before.root`.
+  bool Adopt(const Checkpoint& before, const Checkpoint& after);
 
   Status Put(const Slice& key, const Slice& value);
   Status Get(const Slice& key, std::string* value) const;
@@ -114,14 +160,17 @@ class MerklePatriciaTrie {
 
   /// Storage accounting ------------------------------------------------------
   /// Bytes of every node (and out-of-line value) ever written (archival
-  /// store: all historical versions reachable from old roots).
+  /// store: all historical versions reachable from old roots). Under shared
+  /// stores a trie counts what its own updates, computed or adopted, added
+  /// to them: the figure private stores give while the sharing tries follow
+  /// one history, and less once a trie rewrites nodes another trie stored.
   uint64_t TotalNodeBytes() const { return total_node_bytes_; }
   /// Bytes of nodes reachable from the current root (live state), including
   /// the 32-byte content hash each node is filed under and the out-of-line
   /// value bytes the reachable nodes reference.
   uint64_t ReachableBytes() const;
-  /// Nodes currently stored.
-  size_t node_count() const { return nodes_.size(); }
+  /// Nodes in the node store, which counts every trie sharing it.
+  size_t node_count() const { return nodes_->size(); }
   /// Nodes written by the most recent Put or CommitBatch (hashing work per
   /// update).
   size_t last_update_nodes() const { return last_update_nodes_; }
@@ -181,9 +230,9 @@ class MerklePatriciaTrie {
   MptOptions options_;
   Digest root_ = crypto::ZeroDigest();
   bool has_root_ = false;
-  NodeStore nodes_;
+  std::shared_ptr<NodeStore> nodes_ = std::make_shared<NodeStore>();
   /// Out-of-line value bytes, digest-keyed (empty unless opted in).
-  NodeStore values_;
+  std::shared_ptr<NodeStore> values_ = std::make_shared<NodeStore>();
   uint64_t total_node_bytes_ = 0;
   size_t size_ = 0;
   size_t last_update_nodes_ = 0;

@@ -1,5 +1,6 @@
 #include "systems/harmonylike.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "obs/trace.h"
@@ -31,6 +32,19 @@ runtime::BlockPipelineConfig PipelineConfig(const sim::CostModel* costs,
   return pipeline;
 }
 
+// The executor's input besides the pre-state: the epoch's txn payloads in
+// order, each length-prefixed so that no two different epochs concatenate
+// to the same bytes.
+crypto::Digest EpochInput(const ledger::Block& block) {
+  crypto::Sha256 sha;
+  for (const auto& txn : block.txns) {
+    const uint64_t len = txn.payload.size();
+    sha.Update(&len, sizeof(len));
+    sha.Update(txn.payload);
+  }
+  return sha.Finish();
+}
+
 }  // namespace
 
 HarmonySystem::HarmonySystem(sim::Simulator* sim, sim::SimNetwork* net,
@@ -42,15 +56,8 @@ HarmonySystem::HarmonySystem(sim::Simulator* sim, sim::SimNetwork* net,
                 config_.fast_storage),
       pipeline_(sim, net, costs, PipelineConfig(costs, config_),
                 MakeHooks(sim, costs)) {
-  if (config_.fast_storage) {
-    // Out-of-line threshold chosen at the record sizes where full-path
-    // re-hashing dominates (Fig. 11's knee); must be set before any state
-    // lands in the tries.
-    adt::MptOptions options;
-    options.inline_value_threshold = 1024;
-    pipeline_.nodes().ForEach(
-        [&](runtime::BlockNode& node) { node.state.Configure(options); });
-  }
+  pipeline_.nodes().ForEach(
+      [this](runtime::BlockNode& node) { ShareWorldState(&node); });
   if (config_.elasticity.enabled &&
       config_.consensus == HarmonyConsensus::kRaft) {
     lifecycle_ = std::make_unique<runtime::RaftLifecycle>(
@@ -112,9 +119,29 @@ void HarmonySystem::Start() {
   if (lifecycle_ != nullptr) lifecycle_->Start();
 }
 
+void HarmonySystem::ShareWorldState(runtime::BlockNode* node) {
+  if (config_.fast_storage) {
+    // Out-of-line threshold chosen at the record sizes where full-path
+    // re-hashing dominates (Fig. 11's knee); must be set before any state
+    // lands in the trie.
+    adt::MptOptions options;
+    options.inline_value_threshold = 1024;
+    node->state.Configure(options);
+  }
+  // One content-addressed node store per world: every replica's trie files
+  // its nodes in the first replica's stores and keeps its own root, so an
+  // epoch computed once can be adopted everywhere (ApplyEpoch). The stores
+  // are not thread-safe; they need no lock because BlockPipeline never sets
+  // partition_replicas, so every replica, joiners included, runs on
+  // simulator partition 0.
+  runtime::BlockNode& first = pipeline_.nodes().at_index(0);
+  if (node != &first) node->state.ShareStoresOf(first.state);
+}
+
 sim::NodeId HarmonySystem::AddReplica(
     std::function<void(const runtime::JoinReport&)> done) {
   sim::NodeId id = pipeline_.nodes().Grow(sim_);
+  ShareWorldState(&pipeline_.node(id));
   lifecycle_->Join(id, std::move(done));
   return id;
 }
@@ -128,41 +155,40 @@ sim::Time HarmonySystem::ApplyEpoch(sim::NodeId node_id, uint64_t seq,
                                     ledger::Block* block) {
   runtime::BlockNode* node = &pipeline_.node(node_id);
 
-  // Every replica (sequencer included — it never pre-executed) runs the
-  // same deterministic schedule against its committed state. Blocks are
-  // delivered in commit order and writes apply synchronously here, so each
-  // epoch reads its predecessor's effects even while the modeled CPU is
-  // still draining earlier epochs.
-  std::vector<core::TxnRequest> batch;
-  batch.reserve(block->txns.size());
-  for (const auto& txn : block->txns) {
-    core::TxnRequest request;
-    if (core::TxnRequest::Deserialize(txn.payload, &request)) {
-      batch.push_back(std::move(request));
-    }
+  // An epoch's outcome is a pure function of the pre-state and the ordered
+  // payloads, so a replica whose state another replica already carried
+  // through this very epoch adopts that transition: same root, counters,
+  // outcomes and makespan, without executing or rehashing the trie. Any
+  // other replica (one that diverged, or applies a different block at this
+  // height, or was cut off until its epoch aged out) computes it.
+  const crypto::Digest input = EpochInput(*block);
+  auto memo = std::find_if(
+      transitions_.begin(), transitions_.end(),
+      [&](const EpochTransition& t) {
+        return t.input == input && t.before.root == node->state.RootDigest();
+      });
+  EpochTransition computed;
+  const EpochTransition* transition;
+  if (memo != transitions_.end() &&
+      node->state.Adopt(memo->before, memo->after)) {
+    transition = &*memo;
+  } else {
+    memo = transitions_.end();
+    computed = ComputeEpoch(node, input, *block);
+    transition = &computed;
   }
-  runtime::MptView view(&node->state);
-  txn::EpochOutcome outcome = executor_.ExecuteEpoch(batch, &view);
-  for (size_t i = 0; i < outcome.results.size() && i < block->txns.size();
+
+  for (size_t i = 0; i < transition->txns.size() && i < block->txns.size();
        i++) {
-    const txn::EpochTxnResult& result = outcome.results[i];
-    block->txns[i].valid = result.valid;
-    block->txns[i].write_set.assign(result.writes.begin(),
-                                    result.writes.end());
-    for (const auto& [key, value] : result.writes) {
-      node->state.StagePut(key, value);  // staged in epoch order
-    }
+    block->txns[i].valid = transition->txns[i].first;
+    block->txns[i].write_set = transition->txns[i].second;
   }
-  // One batched commit per epoch: shared path nodes hash once however many
-  // staged keys pass through them, untouched subtrees are reused by digest,
-  // and the root is byte-identical to per-write Puts (adt/mpt.h).
-  node->state.CommitBatch();
   block->header.state_digest = node->state.RootDigest();
 
   if (lifecycle_ != nullptr) {
     runtime::RaftLifecycle::Writes writes;
-    for (const auto& result : outcome.results) {
-      writes.insert(writes.end(), result.writes.begin(), result.writes.end());
+    for (const auto& [valid, txn_writes] : transition->txns) {
+      writes.insert(writes.end(), txn_writes.begin(), txn_writes.end());
     }
     lifecycle_->OnApply(node_id, seq, writes);
   }
@@ -172,16 +198,67 @@ sim::Time HarmonySystem::ApplyEpoch(sim::NodeId node_id, uint64_t seq,
   // construction-time span so a joining replica doesn't skew the counts.
   if (node_id == pipeline_.nodes().id_of(config_.num_nodes - 1)) {
     epoch_stats_.epochs++;
-    epoch_stats_.scheduled_txns += outcome.results.size();
-    epoch_stats_.conflict_edges += outcome.schedule.conflict_edges;
-    epoch_stats_.total_layers += outcome.schedule.num_layers;
-    epoch_stats_.makespan_us += outcome.makespan_us;
-    epoch_stats_.serial_us += outcome.serial_us;
+    epoch_stats_.scheduled_txns += transition->txns.size();
+    epoch_stats_.conflict_edges += transition->conflict_edges;
+    epoch_stats_.total_layers += transition->layers;
+    epoch_stats_.makespan_us += transition->makespan_us;
+    epoch_stats_.serial_us += transition->serial_us;
   }
 
   // The replica's engine is busy for the *multi-lane makespan*, not the
   // serial sum — this is where deterministic execution buys its headroom.
-  return outcome.makespan_us;
+  const sim::Time makespan_us = transition->makespan_us;
+  if (memo != transitions_.end()) {
+    if (--memo->adopters_left == 0) transitions_.erase(memo);
+  } else if (pipeline_.nodes().size() > 1) {
+    // Bounded so that a replica that stops applying (cut off, crashed,
+    // removed) cannot make the memo grow; it recomputes what aged out.
+    if (transitions_.size() == kMaxTransitions) transitions_.pop_front();
+    computed.adopters_left = pipeline_.nodes().size() - 1;
+    transitions_.push_back(std::move(computed));
+  }
+  return makespan_us;
+}
+
+HarmonySystem::EpochTransition HarmonySystem::ComputeEpoch(
+    runtime::BlockNode* node, const crypto::Digest& input,
+    const ledger::Block& block) {
+  // The sequencer never pre-executed, so this runs the same deterministic
+  // schedule against committed state as every other replica. Blocks are
+  // delivered in commit order and writes apply synchronously here, so each
+  // epoch reads its predecessor's effects even while the modeled CPU is
+  // still draining earlier epochs.
+  std::vector<core::TxnRequest> batch;
+  batch.reserve(block.txns.size());
+  for (const auto& txn : block.txns) {
+    core::TxnRequest request;
+    if (core::TxnRequest::Deserialize(txn.payload, &request)) {
+      batch.push_back(std::move(request));
+    }
+  }
+  EpochTransition transition;
+  transition.input = input;
+  transition.before = node->state.checkpoint();
+  runtime::MptView view(&node->state);
+  txn::EpochOutcome outcome = executor_.ExecuteEpoch(batch, &view);
+  epoch_stats_.executions++;
+  transition.txns.reserve(outcome.results.size());
+  for (txn::EpochTxnResult& result : outcome.results) {
+    for (const auto& [key, value] : result.writes) {
+      node->state.StagePut(key, value);  // staged in epoch order
+    }
+    transition.txns.emplace_back(result.valid, std::move(result.writes));
+  }
+  // One batched commit per epoch: shared path nodes hash once however many
+  // staged keys pass through them, untouched subtrees are reused by digest,
+  // and the root is byte-identical to per-write Puts (adt/mpt.h).
+  node->state.CommitBatch();
+  transition.after = node->state.checkpoint();
+  transition.conflict_edges = outcome.schedule.conflict_edges;
+  transition.layers = outcome.schedule.num_layers;
+  transition.makespan_us = outcome.makespan_us;
+  transition.serial_us = outcome.serial_us;
+  return transition;
 }
 
 }  // namespace dicho::systems

@@ -1,6 +1,7 @@
 #ifndef DICHO_SYSTEMS_HARMONYLIKE_H_
 #define DICHO_SYSTEMS_HARMONYLIKE_H_
 
+#include <deque>
 #include <memory>
 #include <string>
 #include <utility>
@@ -9,6 +10,7 @@
 #include "adt/mpt.h"
 #include "contract/contract.h"
 #include "core/types.h"
+#include "crypto/sha256.h"
 #include "ledger/ledger.h"
 #include "sim/cost_model.h"
 #include "sim/network.h"
@@ -52,6 +54,9 @@ struct HarmonyEpochStats {
   uint64_t total_layers = 0;  // sum of per-epoch layer counts
   sim::Time makespan_us = 0;  // modeled multi-lane execution time
   sim::Time serial_us = 0;    // single-lane equivalent work
+  /// Times the executor ran, over every replica: once per epoch while the
+  /// replicas agree, since the others adopt the computed transition.
+  uint64_t executions = 0;
 
   double AvgDepth() const {
     return epochs == 0 ? 0.0
@@ -126,15 +131,51 @@ class HarmonySystem : public core::TransactionalSystem {
   }
   const HarmonyEpochStats& epoch_stats() const { return epoch_stats_; }
 
+  /// Computed epochs kept for the replicas that have not applied them yet.
+  /// A replica cut off for longer recomputes what aged out on its return.
+  static constexpr size_t kMaxTransitions = 16;
+  size_t transitions_held() const { return transitions_.size(); }
+
+  /// Writes straight into one replica's state, bypassing consensus, so a
+  /// test can make that replica diverge.
+  void PutForTest(sim::NodeId node, const std::string& key,
+                  const std::string& value) {
+    pipeline_.node(node).state.Put(key, value);
+  }
+
  private:
+  /// One epoch as computed on one replica: everything its outcome feeds
+  /// back, keyed by the executor's whole input (pre-state root in
+  /// `before`, the payload digest in `input`).
+  struct EpochTransition {
+    crypto::Digest input{};
+    adt::MerklePatriciaTrie::Checkpoint before;
+    adt::MerklePatriciaTrie::Checkpoint after;
+    std::vector<std::pair<bool, contract::WriteSet>> txns;  // valid, writes
+    uint64_t conflict_edges = 0;
+    uint32_t layers = 0;
+    sim::Time makespan_us = 0;
+    sim::Time serial_us = 0;
+    size_t adopters_left = 0;  // replicas yet to apply it
+  };
+
   runtime::BlockPipeline::Hooks MakeHooks(sim::Simulator* sim,
                                           const sim::CostModel* costs);
+  /// Configures a replica's MPT like its peers' and files it in the first
+  /// replica's node stores.
+  void ShareWorldState(runtime::BlockNode* node);
   /// Runs one ordered epoch on a replica; returns its multi-lane makespan.
   sim::Time ApplyEpoch(sim::NodeId node, uint64_t seq, ledger::Block* block);
+  /// Executes an epoch against a replica's state and commits its writes.
+  EpochTransition ComputeEpoch(runtime::BlockNode* node,
+                               const crypto::Digest& input,
+                               const ledger::Block& block);
 
   sim::Simulator* sim_;
   HarmonyConfig config_;
   HarmonyEpochStats epoch_stats_;
+  /// Oldest first; at most kMaxTransitions.
+  std::deque<EpochTransition> transitions_;
   std::unique_ptr<contract::ContractRegistry> contracts_;
   txn::DeterministicExecutor executor_;
   runtime::BlockPipeline pipeline_;

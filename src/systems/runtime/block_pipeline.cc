@@ -50,8 +50,17 @@ sim::NodeId BlockPipeline::CompletionId() const {
 }
 
 void BlockPipeline::Load(const std::string& key, const std::string& value) {
-  SeedAllReplicas(&nodes_,
-                  [&](BlockNode& node) { node.state.Put(key, value); });
+  // Every replica is seeded (queries read any replica). The first hashes
+  // the path; a replica filing into its node stores adopts the result
+  // instead of hashing it again, and any other replica puts on its own.
+  adt::MerklePatriciaTrie& first = nodes_.at_index(0).state;
+  const adt::MerklePatriciaTrie::Checkpoint before = first.checkpoint();
+  first.Put(key, value);
+  const adt::MerklePatriciaTrie::Checkpoint after = first.checkpoint();
+  for (size_t i = 1; i < nodes_.size(); i++) {
+    adt::MerklePatriciaTrie& state = nodes_.at_index(i).state;
+    if (!state.Adopt(before, after)) state.Put(key, value);
+  }
 }
 
 void BlockPipeline::Tick() {

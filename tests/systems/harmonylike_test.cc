@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "crypto/sha256.h"
 #include "tests/systems/replica_convergence.h"
@@ -145,6 +147,121 @@ TEST(HarmonySystemTest, RunsReplayIdentically) {
            std::to_string(system.stats().committed);
   };
   EXPECT_EQ(run(3), run(3));
+}
+
+// Submits `count` hot-key read-modify-writes, one every 10 ms, and runs
+// the world until every replica has applied them.
+void DriveHotKeys(HarmonyHarness* h, uint64_t count) {
+  for (uint64_t i = 1; i <= count; i++) {
+    h->sim.Schedule(static_cast<sim::Time>(i) * 10 * sim::kMs, [h, i] {
+      h->system->Submit(RmwTxn(i, "hot" + std::to_string(i % 3), "v"),
+                        [](const core::TxnResult&) {});
+    });
+  }
+}
+
+// Replicas that agree adopt the epoch one of them computed, so the
+// executor runs once per epoch however many replicas apply it.
+void ExpectOneExecutionPerEpoch(HarmonyConsensus consensus, uint32_t n) {
+  HarmonyHarness h(consensus, n);
+  for (int i = 0; i < 20; i++) {
+    h.system->Load("seed" + std::to_string(i), "loaded");
+  }
+  DriveHotKeys(&h, 60);
+  h.sim.RunFor(6 * sim::kSec);
+  EXPECT_EQ(h.system->stats().committed, 60u);
+  ExpectReplicasConverged(*h.system);
+  const HarmonyEpochStats& stats = h.system->epoch_stats();
+  EXPECT_GT(stats.epochs, 1u);
+  EXPECT_EQ(stats.executions, stats.epochs);
+  const auto& ids = h.system->node_ids();
+  for (sim::NodeId id : ids) {
+    EXPECT_TRUE(h.system->state_of(id).SharesStoresWith(
+        h.system->state_of(ids[0])));
+    // Adopted updates carry the computing replica's accounting.
+    EXPECT_EQ(h.system->state_of(id).TotalNodeBytes(),
+              h.system->state_of(ids[0]).TotalNodeBytes());
+    EXPECT_EQ(h.system->state_of(id).batch_reuse_hits(),
+              h.system->state_of(ids[0]).batch_reuse_hits());
+  }
+  // Every replica has applied every epoch, so nothing is left to adopt.
+  EXPECT_EQ(h.system->transitions_held(), 0u);
+}
+
+TEST(HarmonySystemTest, ExecutesEachEpochOnceUnderRaft) {
+  ExpectOneExecutionPerEpoch(HarmonyConsensus::kRaft, 5);
+}
+
+TEST(HarmonySystemTest, ExecutesEachEpochOnceUnderBft) {
+  ExpectOneExecutionPerEpoch(HarmonyConsensus::kBft, 4);
+}
+
+// A replica whose pre-state differs must not adopt its peers' epochs: it
+// executes every epoch itself and keeps its own, different root.
+TEST(HarmonySystemTest, DivergedReplicaMissesTheMemo) {
+  HarmonyHarness h;
+  const auto& ids = h.system->node_ids();
+  for (int i = 0; i < 20; i++) {
+    h.system->Load("seed" + std::to_string(i), "loaded");
+  }
+  h.system->PutForTest(ids[0], "rogue", "value");
+  DriveHotKeys(&h, 60);
+  h.sim.RunFor(6 * sim::kSec);
+  EXPECT_EQ(h.system->stats().committed, 60u);
+
+  const HarmonyEpochStats& stats = h.system->epoch_stats();
+  EXPECT_GT(stats.epochs, 1u);
+  // Once for the healthy replicas, once more for the diverged one.
+  EXPECT_EQ(stats.executions, 2 * stats.epochs);
+  EXPECT_NE(h.system->state_of(ids[0]).RootDigest(),
+            h.system->state_of(ids[1]).RootDigest());
+  for (size_t i = 2; i < ids.size(); i++) {
+    EXPECT_EQ(h.system->state_of(ids[i]).RootDigest(),
+              h.system->state_of(ids[1]).RootDigest());
+  }
+  // Its own computation still lands every committed write.
+  for (int k = 0; k < 3; k++) {
+    const std::string key = "hot" + std::to_string(k);
+    std::string diverged_value;
+    std::string healthy_value;
+    ASSERT_TRUE(h.system->state_of(ids[0]).Get(key, &diverged_value).ok());
+    ASSERT_TRUE(h.system->state_of(ids[1]).Get(key, &healthy_value).ok());
+    EXPECT_EQ(diverged_value, healthy_value);
+  }
+  EXPECT_LE(h.system->transitions_held(), HarmonySystem::kMaxTransitions);
+}
+
+// A replica that applies nothing for many epochs would pin every computed
+// epoch; the memo instead holds at most kMaxTransitions, and the replica
+// recomputes what aged out once it is back.
+TEST(HarmonySystemTest, MemoStaysBoundedWhileReplicaIsCutOff) {
+  HarmonyHarness h;
+  const auto& ids = h.system->node_ids();
+  const sim::NodeId cut = ids[0];
+  std::vector<sim::NodeId> rest(ids.begin() + 1, ids.end());
+  DriveHotKeys(&h, 300);
+  const sim::Time start = h.sim.Now();
+  h.sim.Schedule(200 * sim::kMs,
+                 [&] { h.net.Partition({{cut}, rest}); });
+  uint64_t epochs_at_heal = 0;
+  h.sim.Schedule(2700 * sim::kMs, [&] {
+    epochs_at_heal = h.system->epoch_stats().epochs;
+    h.net.HealPartition();
+  });
+  size_t most_held = 0;
+  while (h.sim.Now() < start + 8 * sim::kSec) {
+    h.sim.RunFor(10 * sim::kMs);
+    most_held = std::max(most_held, h.system->transitions_held());
+    ASSERT_LE(h.system->transitions_held(), HarmonySystem::kMaxTransitions);
+  }
+  // The cut-off spanned more epochs than the memo holds, so it filled.
+  EXPECT_GT(epochs_at_heal, HarmonySystem::kMaxTransitions + 10);
+  EXPECT_EQ(most_held, HarmonySystem::kMaxTransitions);
+  EXPECT_EQ(h.system->stats().committed, 300u);
+  // The rejoined replica replayed the log and recomputed what aged out.
+  const HarmonyEpochStats& stats = h.system->epoch_stats();
+  EXPECT_GT(stats.executions, stats.epochs);
+  ExpectReplicasConverged(*h.system);
 }
 
 }  // namespace
