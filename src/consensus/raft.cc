@@ -166,10 +166,11 @@ void RaftNode::BecomeLeader() {
       config_change_inflight_ = i;
     }
   }
-  if (config_.leader_noop) {
-    // Raft §8 no-op; an empty command is ignored by every state machine.
-    Propose("", [](Status, uint64_t) {});
-  }
+  // Raft §8 no-op: an entry of our own term makes the prior-term entries
+  // below it committable without client traffic (§5.4.2 forbids counting
+  // replicas of an old-term entry toward commit). Every state machine
+  // ignores an empty command.
+  Propose("", [](Status, uint64_t) {});
   SendHeartbeats();
 }
 
@@ -444,7 +445,7 @@ void RaftNode::HandleAppendResponse(NodeId from, uint64_t term, bool success,
     // one-by-one walk for far-behind or freshly snapshotted followers.
     uint64_t next = next_index_[from];
     if (next > 1) next--;
-    if (config_.fast_backtrack && hint + 1 < next) next = hint + 1;
+    if (hint + 1 < next) next = hint + 1;
     next_index_[from] = next;
     if (next > snapshot_index_) {
       SendAppendTo(from);

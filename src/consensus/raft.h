@@ -37,26 +37,15 @@ struct RaftConfig {
   /// that its invariant checkers catch real safety bugs (state-machine
   /// divergence after partitions/crashes). Never enable outside tests.
   bool unsafe_commit_without_quorum = false;
-  /// Raft §8: a fresh leader appends a no-op entry of its own term, making
-  /// prior-term entries committable without waiting for client traffic
-  /// (§5.4.2 forbids counting replicas of old-term entries toward commit).
-  /// Without it, a cluster whose clients are all blocked behind those very
-  /// entries livelocks after leadership churn. Opt-in: the extra entry
-  /// perturbs the message/log trace of existing calibrated runs.
-  bool leader_noop = false;
-  /// On a failed consistency probe, jump nextIndex straight to the
-  /// follower's reported log end instead of walking back one entry per RTT.
-  /// Essential for lifecycle joins (a snapshotted joiner starts its log at
-  /// the anchor, potentially thousands of entries behind the probe), but
-  /// opt-in: the skipped round trips perturb existing calibrated traces.
-  bool fast_backtrack = false;
 };
 
 enum class RaftRole { kFollower, kCandidate, kLeader };
 
 /// One Raft replica (Ongaro & Ousterhout) as a deterministic event-driven
-/// state machine on the simulator: randomized elections, log replication
-/// with per-follower nextIndex backtracking, majority commit, crash/restart
+/// state machine on the simulator: randomized elections, a §8 no-op from
+/// every fresh leader (so prior-term entries commit without client
+/// traffic), log replication with per-follower nextIndex backtracking that
+/// jumps to the follower's reported log end, majority commit, crash/restart
 /// with persistent (term, votedFor, log) state. CPU costs for replication
 /// work are charged to the node's CpuResource from the CostModel, which is
 /// what makes the leader the throughput bottleneck as the group grows

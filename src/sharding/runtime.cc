@@ -265,8 +265,7 @@ ShardExecutor::ShardExecutor(sim::Simulator* sim, sim::SimNetwork* net,
   systems::runtime::TransportConfig transport;
   transport.kind = config_.bft ? systems::runtime::TransportKind::kBft
                                : systems::runtime::TransportKind::kRaft;
-  transport.raft = systems::runtime::RaftLifecycle::GroupConfig(
-      config_.raft, config_.elasticity);
+  transport.raft = config_.raft;
   transport.bft = config_.bft_config;
   transport_ = std::make_unique<systems::runtime::Transport>(
       sim, net, costs, nodes_.ids(), transport,

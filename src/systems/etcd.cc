@@ -13,8 +13,7 @@ EtcdSystem::EtcdSystem(sim::Simulator* sim, sim::SimNetwork* net,
       nodes_(sim, runtime::kReplicaBase, config_.num_nodes) {
   runtime::TransportConfig transport;
   transport.kind = runtime::TransportKind::kRaft;
-  transport.raft =
-      runtime::RaftLifecycle::GroupConfig(config_.raft, config_.elasticity);
+  transport.raft = config_.raft;
   transport_ = std::make_unique<runtime::Transport>(
       sim, net, costs, nodes_.ids(), transport,
       [this](size_t node_index, uint64_t seq, const std::string& cmd) {

@@ -18,8 +18,7 @@ runtime::BlockPipelineConfig PipelineConfig(const sim::CostModel* costs,
   pipeline.transport.kind = config.consensus == HarmonyConsensus::kRaft
                                 ? runtime::TransportKind::kRaft
                                 : runtime::TransportKind::kBft;
-  pipeline.transport.raft =
-      runtime::RaftLifecycle::GroupConfig(config.raft, config.elasticity);
+  pipeline.transport.raft = config.raft;
   pipeline.transport.bft = config.bft;
   pipeline.interval = config.epoch_interval;
   pipeline.policy.max_txns = config.max_epoch_txns;
@@ -84,7 +83,7 @@ HarmonySystem::HarmonySystem(sim::Simulator* sim, sim::SimNetwork* net,
 runtime::BlockPipeline::Hooks HarmonySystem::MakeHooks(
     sim::Simulator* sim, const sim::CostModel* costs) {
   runtime::BlockPipeline::Hooks hooks;
-  hooks.cut_cost = [costs](runtime::BlockNode&, const core::TxnRequest&,
+  hooks.cut_cost = [costs](sim::NodeId, const core::TxnRequest&,
                            ledger::LedgerTxn*) {
     // The epoch goes to consensus UNEXECUTED: the sequencer only assembles
     // and signs, so cutting costs per-txn message handling instead of

@@ -91,6 +91,7 @@ class HarmonySystem : public core::TransactionalSystem {
 
   void Start() override;
   bool HasSequencer() const { return pipeline_.transport().HasLeader(); }
+  runtime::Transport* transport() { return &pipeline_.transport(); }
 
   void Submit(const core::TxnRequest& request, core::TxnCallback cb) override {
     pipeline_.Submit(request, std::move(cb));

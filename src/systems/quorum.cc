@@ -1,6 +1,5 @@
 #include "systems/quorum.h"
 
-#include "crypto/sha256.h"
 #include "obs/trace.h"
 
 namespace dicho::systems {
@@ -39,21 +38,28 @@ QuorumSystem::QuorumSystem(sim::Simulator* sim, sim::SimNetwork* net,
 
 runtime::BlockPipeline::Hooks QuorumSystem::MakeHooks(sim::Simulator* sim) {
   runtime::BlockPipeline::Hooks hooks;
-  hooks.cut_cost = [this](runtime::BlockNode& proposer,
+  hooks.cut_cost = [this](NodeId proposer_id,
                           const core::TxnRequest& request,
                           ledger::LedgerTxn* txn) {
+    auto& pre_executed = pre_executed_[proposer_id];
+    auto it = pre_executed.find(request.txn_id);
+    if (it != pre_executed.end()) {
+      txn->valid = it->second.valid;
+      txn->write_set = it->second.write_set;
+      return Time{0};
+    }
     // Serial pre-execution against the proposer's state, applied now: the
     // proposer's head advances as it builds.
-    return ExecuteTxn(&proposer, request, txn, /*apply_writes=*/true);
+    Time cost = ExecuteTxn(&pipeline_.node(proposer_id), request, txn,
+                           /*apply_writes=*/true);
+    pre_executed.emplace(request.txn_id,
+                         PreExecuted{txn->valid, txn->write_set});
+    return cost;
   };
   hooks.seal = [this](NodeId proposer_id, ledger::Block* block) {
     const runtime::BlockNode& proposer = pipeline_.node(proposer_id);
     block->header.parent = proposer.chain.TipDigest();
     block->header.state_digest = proposer.state.RootDigest();
-    // Remember which blocks this node built so it can skip re-execution
-    // when they commit (geth's miner does not re-process its own blocks).
-    locally_built_[proposer_id].insert(
-        crypto::DigestBytes(block->header.txn_root));
   };
   hooks.apply = [this](NodeId node, uint64_t, ledger::Block* block) {
     return ApplyBlock(node, block);
@@ -70,14 +76,6 @@ runtime::BlockPipeline::Hooks QuorumSystem::MakeHooks(sim::Simulator* sim) {
     obs::EmitPhaseSpan(sim, core::Phase::kConsensusCommit, node,
                        pending.request.txn_id, pending.proposed_time,
                        result->finish_time);
-  };
-  hooks.on_tick = [this, sim] {
-    // Re-mint: txns whose block has not committed in time go back to the
-    // mempool for the next cut.
-    if (config_.reproposal_timeout > 0) {
-      pipeline_.RequeueProposedBefore(sim->Now() -
-                                      config_.reproposal_timeout);
-    }
   };
   return hooks;
 }
@@ -123,27 +121,27 @@ Time QuorumSystem::ExecuteTxn(runtime::BlockNode* node,
 }
 
 Time QuorumSystem::ApplyBlock(NodeId node_id, ledger::Block* block) {
-  // The proposer already executed this block while building it; skip its
-  // re-execution.
-  auto& built = locally_built_[node_id];
-  auto built_it = built.find(crypto::DigestBytes(block->header.txn_root));
-  if (built_it != built.end()) {
-    built.erase(built_it);
-    return 0;
+  // A txn this node pre-executed at its own cut is already in its state,
+  // so it is neither executed nor replayed again (geth's miner does not
+  // re-process its own blocks).
+  auto& pre_executed = pre_executed_[node_id];
+  std::vector<const ledger::LedgerTxn*> others;
+  for (const auto& txn : block->txns) {
+    if (pre_executed.erase(txn.txn_id) == 0) others.push_back(&txn);
   }
 
   runtime::BlockNode* node = &pipeline_.node(node_id);
   Time cost = 0;
-  for (const auto& txn : block->txns) {
+  for (const ledger::LedgerTxn* txn : others) {
     core::TxnRequest request;
-    if (!core::TxnRequest::Deserialize(txn.payload, &request)) continue;
+    if (!core::TxnRequest::Deserialize(txn->payload, &request)) continue;
     ledger::LedgerTxn scratch;
     cost += ExecuteTxn(node, request, &scratch, /*apply_writes=*/false);
   }
   // Apply the block's write sets (deterministic replay).
-  for (const auto& txn : block->txns) {
-    if (!txn.valid) continue;
-    for (const auto& [key, value] : txn.write_set) {
+  for (const ledger::LedgerTxn* txn : others) {
+    if (!txn->valid) continue;
+    for (const auto& [key, value] : txn->write_set) {
       node->state.Put(key, value);
     }
   }

@@ -3,8 +3,8 @@
 
 #include <map>
 #include <memory>
-#include <set>
 #include <string>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -33,13 +33,6 @@ struct QuorumConfig {
   Time block_interval = 250 * sim::kMs;
   size_t max_block_txns = 500;
   uint64_t max_block_bytes = 1ull << 20;  // the gas-limit analog
-  /// Re-mint timeout (geth-raft minter idiom): a txn whose block has not
-  /// committed after this long returns to the mempool for the next cut —
-  /// proposals lost to leadership churn would otherwise strand their txns
-  /// in the inflight table forever. A late commit of the original block is
-  /// harmless: the first commit resolves the client, replays are skipped.
-  /// 0 (default) disables re-proposal.
-  Time reproposal_timeout = 0;
   NodeId client_node = runtime::kClientNode;
   consensus::RaftConfig raft;
   consensus::BftConfig ibft;
@@ -62,6 +55,7 @@ class QuorumSystem : public core::TransactionalSystem {
 
   void Start() override { pipeline_.Start(); }
   bool HasProposer() const { return pipeline_.transport().HasLeader(); }
+  runtime::Transport* transport() { return &pipeline_.transport(); }
 
   void Submit(const core::TxnRequest& request, core::TxnCallback cb) override {
     pipeline_.Submit(request, std::move(cb));
@@ -102,8 +96,15 @@ class QuorumSystem : public core::TransactionalSystem {
   const sim::CostModel* costs_;
   QuorumConfig config_;
   std::unique_ptr<contract::ContractRegistry> contracts_;
-  // node -> txn roots of blocks that node built (skip re-execution).
-  std::map<NodeId, std::set<std::string>> locally_built_;
+  // node -> outcome of each txn it pre-executed into its state at a cut and
+  // has not yet applied from a committed block. Applying it skips the txn;
+  // a txn of a block reported lost that comes back to the same node's cut
+  // reuses the outcome, since its writes are already in that state.
+  struct PreExecuted {
+    bool valid;
+    std::vector<std::pair<std::string, std::string>> write_set;
+  };
+  std::map<NodeId, std::unordered_map<uint64_t, PreExecuted>> pre_executed_;
   runtime::BlockPipeline pipeline_;
 };
 

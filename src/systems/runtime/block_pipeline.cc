@@ -41,9 +41,9 @@ sim::NodeId BlockPipeline::ProposerId() const {
   return transport_->LeaderId(nodes_.id_of(0));
 }
 
-sim::NodeId BlockPipeline::CompletionId() const {
+sim::NodeId BlockPipeline::CompletionId(sim::NodeId proposer) const {
   sim::NodeId completion = nodes_.id_of(config_.num_nodes - 1);
-  if (completion == ProposerId() && config_.num_nodes > 1) {
+  if (completion == proposer && config_.num_nodes > 1) {
     completion = nodes_.id_of(config_.num_nodes - 2);
   }
   return completion;
@@ -64,30 +64,44 @@ void BlockPipeline::Load(const std::string& key, const std::string& value) {
 }
 
 void BlockPipeline::Tick() {
-  if (hooks_.on_tick) hooks_.on_tick();
   if (!mempool_.empty() && transport_->HasLeader()) CutAndPropose();
   sim_->Schedule(config_.interval, [this] { Tick(); });
 }
 
-void BlockPipeline::RequeueProposedBefore(sim::Time cutoff) {
-  std::vector<PendingTxn> stale = inflight_.ExtractIf(
-      [cutoff](uint64_t, const PendingTxn& pending) {
-        return pending.proposed_time <= cutoff;
-      });
-  for (PendingTxn& pending : stale) mempool_.Push(std::move(pending));
+void BlockPipeline::Requeue(uint64_t block,
+                            const std::vector<uint64_t>& txn_ids) {
+  for (uint64_t txn_id : txn_ids) {
+    PendingTxn* pending = inflight_.Find(txn_id);
+    if (pending == nullptr || pending->block != block) continue;
+    PendingTxn lost;
+    inflight_.Take(txn_id, &lost);
+    mempool_.Push(std::move(lost));
+  }
 }
 
 void BlockPipeline::CutAndPropose() {
   sim::NodeId proposer_id = ProposerId();
   BlockNode& proposer = nodes_.at(proposer_id);
+  const sim::NodeId completion = CompletionId(proposer_id);
 
   ledger::Block block;
   block.header.number = next_block_number_;
   block.header.timestamp_us = static_cast<uint64_t>(sim_->Now());
 
   sim::Time cut_cost = 0;
-  mempool_.Cut(config_.policy, [&](PendingTxn pending) {
+  std::vector<uint64_t> txn_ids;
+  mempool_.Cut(config_.policy, [&](PendingTxn pending) -> uint64_t {
     pending.proposed_time = sim_->Now();
+    // Requeued from a block reported lost that committed after all: answer
+    // with that commit's outcome instead of running it again.
+    auto first = committed_.find(pending.request.txn_id);
+    if (first != committed_.end()) {
+      Reply(proposer_id, std::move(pending), first->second.valid,
+            sim_->Now());
+      return 0;
+    }
+    pending.block = block.header.number;
+    pending.completion = completion;
 
     ledger::LedgerTxn txn;
     txn.txn_id = pending.request.txn_id;
@@ -95,10 +109,11 @@ void BlockPipeline::CutAndPropose() {
     txn.payload = pending.request.Serialize();
     txn.client_signature =
         crypto::Signer(pending.request.client_id).Sign(txn.payload);
-    cut_cost += hooks_.cut_cost(proposer, pending.request, &txn);
+    cut_cost += hooks_.cut_cost(proposer_id, pending.request, &txn);
     uint64_t bytes = txn.ByteSize();
     block.txns.push_back(std::move(txn));
     uint64_t txn_id = pending.request.txn_id;
+    txn_ids.push_back(txn_id);
     inflight_.Insert(txn_id, std::move(pending));
     return bytes;
   });
@@ -108,18 +123,27 @@ void BlockPipeline::CutAndPropose() {
   if (hooks_.seal) hooks_.seal(proposer_id, &block);
 
   // The cut occupies the proposer's CPU; the block goes to consensus when
-  // it finishes, provided the proposer still leads.
-  proposer.cpu.Submit(cut_cost, [this, proposer_id,
+  // it finishes, provided the proposer still leads. A block lost on the way
+  // (the proposer no longer leads, Raft reports leadership lost, or the
+  // PBFT submit fails) hands its txns back to the mempool.
+  proposer.cpu.Submit(cut_cost, [this, proposer_id, cut = block.header.number,
+                                 txn_ids = std::move(txn_ids),
                                  serialized = block.Serialize()]() mutable {
+    auto on_result = [this, cut, txn_ids = std::move(txn_ids)](Status s,
+                                                                uint64_t) {
+      if (!s.ok()) Requeue(cut, txn_ids);
+    };
     if (transport_->raft() != nullptr) {
       consensus::RaftNode* leader = transport_->raft()->leader();
-      if (leader == nullptr || leader->id() != proposer_id) return;
-      leader->Propose(std::move(serialized), [](Status, uint64_t) {});
-    } else {
-      consensus::BftNode* primary = transport_->bft()->primary();
-      if (primary == nullptr) return;
-      primary->Submit(std::move(serialized), [](Status, uint64_t) {});
+      if (leader != nullptr && leader->id() == proposer_id) {
+        leader->Propose(std::move(serialized), std::move(on_result));
+        return;
+      }
+    } else if (consensus::BftNode* primary = transport_->bft()->primary()) {
+      primary->Submit(std::move(serialized), std::move(on_result));
+      return;
     }
+    on_result(Status::Unavailable("proposer no longer leads"), 0);
   });
 }
 
@@ -127,20 +151,41 @@ void BlockPipeline::OnCommitted(sim::NodeId node_id, uint64_t seq,
                                 const std::string& cmd) {
   ledger::Block block;
   if (!ledger::Block::Deserialize(cmd, &block)) return;
+  const uint64_t cut = block.header.number;
+  std::vector<uint64_t> txn_ids;
+  txn_ids.reserve(block.txns.size());
+  for (const auto& txn : block.txns) txn_ids.push_back(txn.txn_id);
+  // A txn whose earlier block committed first is not applied again.
+  std::erase_if(block.txns, [&](const ledger::LedgerTxn& txn) {
+    auto first = committed_.find(txn.txn_id);
+    return first != committed_.end() && first->second.seq < seq;
+  });
   sim::Time ordered_time = sim_->Now();
   sim::Time cost = hooks_.apply(node_id, seq, &block);
+  for (const auto& txn : block.txns) {
+    committed_.try_emplace(txn.txn_id, FirstCommit{seq, txn.valid});
+  }
 
   BlockNode* node = &nodes_.at(node_id);
   auto shared = std::make_shared<ledger::Block>(std::move(block));
-  node->cpu.Submit(cost, [this, node_id, node, shared, ordered_time] {
+  node->cpu.Submit(cost, [this, node_id, node, shared, cut,
+                          txn_ids = std::move(txn_ids), ordered_time] {
     // Replies only enqueue sends, so answering before the append below
-    // moves the block into the chain changes no event.
-    if (node_id == CompletionId()) {
-      for (const auto& txn : shared->txns) {
-        PendingTxn pending;
-        if (!inflight_.Take(txn.txn_id, &pending)) continue;
-        Reply(node_id, std::move(pending), txn.valid, ordered_time);
+    // moves the block into the chain changes no event. A txn is answered
+    // by the replica its cut pinned, and only for the block that last
+    // carried it: leadership may have moved since the cut, and a block
+    // reported lost may still commit after its txns were re-cut. The
+    // outcome is that of the txn's first commit.
+    for (uint64_t txn_id : txn_ids) {
+      const PendingTxn* pinned = inflight_.Find(txn_id);
+      if (pinned == nullptr || pinned->block != cut ||
+          pinned->completion != node_id) {
+        continue;
       }
+      PendingTxn pending;
+      inflight_.Take(txn_id, &pending);
+      Reply(node_id, std::move(pending), committed_.at(txn_id).valid,
+            ordered_time);
     }
     // Re-link the block onto this replica's own chain (proposer chains can
     // briefly diverge across view changes; every chain stays linear).

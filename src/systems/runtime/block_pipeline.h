@@ -5,6 +5,8 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <unordered_map>
+#include <vector>
 
 #include "adt/mpt.h"
 #include "contract/contract.h"
@@ -42,12 +44,16 @@ class MptView : public contract::StateView {
 };
 
 /// A submitted transaction: in the proposer's mempool until a cut, then in
-/// the inflight table until its block completes.
+/// the inflight table until its block completes or is lost.
 struct PendingTxn {
   core::TxnRequest request;
   core::TxnCallback cb;
   sim::Time submit_time = 0;
   sim::Time proposed_time = 0;  // when a cut pulled it into a block
+  /// Pinned by the latest cut: the block carrying the txn and the replica
+  /// whose apply of that block answers the client.
+  uint64_t block = 0;
+  sim::NodeId completion = 0;
 };
 
 struct BlockPipelineConfig {
@@ -69,8 +75,14 @@ struct BlockPipelineConfig {
 /// Table 2): clients submit to the current Raft leader or PBFT primary,
 /// which cuts its mempool into a block of signed transactions on a fixed
 /// cadence and proposes it; every replica applies each committed block on
-/// its CPU and appends it to its own chain. A pinned non-proposer replica
-/// acts as the client's local peer, so observed latency includes the apply.
+/// its CPU and appends it to its own chain. A non-proposer replica, pinned
+/// when the block is cut, acts as the client's local peer, so observed
+/// latency includes the apply. A block that Raft or PBFT reports lost
+/// returns its txns to the mempool for the next cut (geth-raft's minter
+/// re-mint); a txn is answered only for the block that last carried it.
+/// A lost report is not final (a Raft successor may still commit the
+/// entry), so a txn id can reach the committed order twice: every replica
+/// applies only its first commit, as Ethereum's nonce check would.
 ///
 /// The systems differ only in how a replica executes an ordered block
 /// (Quorum pre-executes on the proposer and re-executes elsewhere;
@@ -82,13 +94,14 @@ class BlockPipeline {
     /// Cost of pulling one transaction into a block, charged to the
     /// proposer's CPU before the block is proposed. May record an outcome
     /// (valid, write set) on the ledger txn.
-    std::function<sim::Time(BlockNode& proposer, const core::TxnRequest&,
+    std::function<sim::Time(sim::NodeId proposer, const core::TxnRequest&,
                             ledger::LedgerTxn*)>
         cut_cost;
     /// Optional: finishes a cut block after its txn root is sealed.
     std::function<void(sim::NodeId proposer, ledger::Block*)> seal;
     /// Executes a committed block on one replica and returns the time it
-    /// occupies that replica's CPU; sets each txn's `valid`.
+    /// occupies that replica's CPU; sets each txn's `valid`. The block
+    /// holds only the txns committed here for the first time.
     std::function<sim::Time(sim::NodeId node, uint64_t seq, ledger::Block*)>
         apply;
     /// Stamps the phase breakdown of a completed transaction. ordered_time
@@ -96,8 +109,6 @@ class BlockPipeline {
     std::function<void(const PendingTxn&, sim::NodeId completion,
                        sim::Time ordered_time, core::TxnResult*)>
         stamp;
-    /// Optional: runs on every cadence tick, before the cut.
-    std::function<void()> on_tick;
   };
 
   BlockPipeline(sim::Simulator* sim, sim::SimNetwork* net,
@@ -114,10 +125,6 @@ class BlockPipeline {
   /// Seeds one record into every replica's state (benchmark setup).
   void Load(const std::string& key, const std::string& value);
 
-  /// Returns every inflight txn proposed at or before `cutoff` to the
-  /// mempool for the next cut (geth-raft's minter re-mint).
-  void RequeueProposedBefore(sim::Time cutoff);
-
   const core::SystemStats& stats() const { return stats_; }
   Transport& transport() { return *transport_; }
   const Transport& transport() const { return *transport_; }
@@ -128,12 +135,15 @@ class BlockPipeline {
 
  private:
   sim::NodeId ProposerId() const;
-  /// The replica whose commit completes client requests: the last replica
-  /// of the construction-time span, or the one before it while the last
+  /// The replica whose apply completes a block cut by `proposer`: the last
+  /// replica of the construction-time span, or the one before it when that
   /// is the proposer. A replica joining later never takes the duty.
-  sim::NodeId CompletionId() const;
+  sim::NodeId CompletionId(sim::NodeId proposer) const;
   void Tick();
   void CutAndPropose();
+  /// Returns the txns of lost block `block` that no later cut took over to
+  /// the mempool.
+  void Requeue(uint64_t block, const std::vector<uint64_t>& txn_ids);
   void OnCommitted(sim::NodeId node_id, uint64_t seq, const std::string& cmd);
   void Reply(sim::NodeId node_id, PendingTxn pending, bool valid,
              sim::Time ordered_time);
@@ -147,6 +157,14 @@ class BlockPipeline {
   std::unique_ptr<Transport> transport_;
   Mempool<PendingTxn> mempool_;
   InflightTable<PendingTxn> inflight_;  // txn_id -> waiting client
+  /// Each committed txn's first position in the committed order and its
+  /// outcome there. Every replica applies the same order, so this is a
+  /// function of the log prefix it has applied; one table serves them all.
+  struct FirstCommit {
+    uint64_t seq;
+    bool valid;
+  };
+  std::unordered_map<uint64_t, FirstCommit> committed_;
   uint64_t next_block_number_ = 0;
 };
 

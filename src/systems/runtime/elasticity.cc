@@ -155,15 +155,6 @@ void StartReplicaJoin(
       });
 }
 
-consensus::RaftConfig RaftLifecycle::GroupConfig(
-    consensus::RaftConfig raft, const ElasticityConfig& elasticity) {
-  if (elasticity.enabled) {
-    raft.leader_noop = true;
-    raft.fast_backtrack = true;
-  }
-  return raft;
-}
-
 RaftLifecycle::RaftLifecycle(sim::Simulator* sim, sim::SimNetwork* net,
                              Transport* transport,
                              const ElasticityConfig* config,

@@ -187,14 +187,6 @@ class RaftLifecycle {
       sim::NodeId, const std::map<std::string, std::string>& state)>;
   using JoinDoneFn = std::function<void(const JoinReport&)>;
 
-  /// The Raft options of a group built with `elasticity`: when it is on,
-  /// `raft` plus the two options a managed group needs — a leader no-op (a
-  /// drained leader's successor commits without waiting for client
-  /// traffic) and fast backtracking (a snapshotted replica pulls the
-  /// leader's probe to its anchor in one round trip); when off, `raft`.
-  static consensus::RaftConfig GroupConfig(consensus::RaftConfig raft,
-                                           const ElasticityConfig& elasticity);
-
   /// Tracks every replica of `transport`'s Raft group. `install` may be
   /// null where state is materialized elsewhere (harmonyshard executes on
   /// the entry replica only).

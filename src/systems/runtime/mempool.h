@@ -190,27 +190,6 @@ class InflightTable {
     if (gauges_ != nullptr) gauges_->inflight_depth = map_.size();
   }
 
-  /// Removes every entry matching pred(txn_id, state) and returns them in
-  /// txn-id order. Re-proposal sweeps (Quorum's minter re-mint of txns whose
-  /// block never committed) use this to move stale entries back to the
-  /// mempool.
-  template <typename Pred>
-  std::vector<TxnState> ExtractIf(Pred pred) {
-    std::vector<TxnState> out;
-    for (auto it = map_.begin(); it != map_.end();) {
-      if (pred(it->first, it->second)) {
-        out.push_back(std::move(it->second));
-        it = map_.erase(it);
-      } else {
-        ++it;
-      }
-    }
-    if (!out.empty() && gauges_ != nullptr) {
-      gauges_->inflight_depth = map_.size();
-    }
-    return out;
-  }
-
   bool empty() const { return map_.empty(); }
   size_t size() const { return map_.size(); }
 

@@ -30,8 +30,6 @@ std::unique_ptr<core::TransactionalSystem> MakeQuorum(
   if (o.block_interval > 0) config.block_interval = o.block_interval;
   config.raft.unsafe_commit_without_quorum =
       o.raft_unsafe_commit_without_quorum;
-  config.raft.leader_noop = o.raft_leader_noop;
-  config.reproposal_timeout = o.quorum_reproposal_timeout;
   return std::make_unique<QuorumSystem>(sim, net, costs, config);
 }
 

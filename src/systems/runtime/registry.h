@@ -31,14 +31,10 @@ struct SystemOverrides {
   uint32_t validation_parallelism = 0;
   /// Quorum block-cutting cadence (0 = default 250 ms).
   sim::Time block_interval = 0;
-  /// Quorum re-mint timeout (see QuorumConfig::reproposal_timeout; 0 = off).
-  sim::Time quorum_reproposal_timeout = 0;
   /// Simulated-PoW mean block interval for hybrid designs (0 = default).
   sim::Time pow_mean_block_interval = 0;
   /// Raft fault-injection flag (simulation testing harness).
   bool raft_unsafe_commit_without_quorum = false;
-  /// Raft §8 leader no-op on election (see RaftConfig::leader_noop).
-  bool raft_leader_noop = false;
   /// Fast storage path (DESIGN.md §2g): fabric delta-backed world state,
   /// harmonylike out-of-line MPT values + fast per-write pricing. Ignored
   /// by systems without the flag.

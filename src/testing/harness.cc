@@ -492,6 +492,8 @@ ScenarioResult RunQuorumScenario(const ScenarioOptions& options,
   for (uint32_t i = 0; i < sched.num_nodes; i++) {
     ledger_audit::AuditChain(system.chain_of(i), "node " + std::to_string(i),
                              &result.report);
+    ledger_audit::CheckTxnsOnce(system.chain_of(i),
+                                "node " + std::to_string(i), &result.report);
     chains.push_back(&system.chain_of(i));
   }
   ledger_audit::CheckPrefixAgreement(chains, &result.report);
@@ -555,14 +557,16 @@ ScenarioResult RunHarmonyScenario(const ScenarioOptions& options,
 
   // Deterministic execution promises replica agreement down to the state
   // root, so this scenario runs the full ledger audit menu: per-node chain
-  // verification, prefix agreement, and a write-set replay of the longest
-  // chain against its headers' state digests.
+  // verification and txn uniqueness, prefix agreement, and a write-set
+  // replay of the longest chain against its headers' state digests.
   std::vector<const ledger::Chain*> chains;
   const ledger::Chain* longest = nullptr;
   for (sim::NodeId id : system.node_ids()) {
     const ledger::Chain& chain = system.chain_of(id);
     ledger_audit::AuditChain(chain, "node " + std::to_string(id),
                              &result.report);
+    ledger_audit::CheckTxnsOnce(chain, "node " + std::to_string(id),
+                                &result.report);
     chains.push_back(&chain);
     if (longest == nullptr || chain.height() > longest->height()) {
       longest = &chain;
@@ -602,7 +606,9 @@ ScenarioResult RunHarmonyScenario(const ScenarioOptions& options,
 //   * conservation — at the horizon every admitted-but-unresolved txn is
 //     still accounted for in the runtime's mempool or inflight table
 //     (admitted txns are never silently dropped);
-//   * the full per-node ledger-audit menu plus prefix agreement;
+//   * the full per-node ledger-audit menu plus prefix agreement, and no
+//     txn id twice on one chain (a re-cut txn whose lost block committed
+//     anyway is applied once);
 //   * liveness — the healed tail must commit transactions.
 ScenarioResult RunOverloadShedScenario(const ScenarioOptions& options,
                                        const ScheduleConfig& sched) {
@@ -616,15 +622,6 @@ ScenarioResult RunOverloadShedScenario(const ScenarioOptions& options,
   overrides.block_interval = 150 * sim::kMs;
   overrides.raft_unsafe_commit_without_quorum =
       options.bug == BugInjection::kRaftCommitWithoutQuorum;
-  // Raft §8 no-op — without it a full admission gate livelocks the cluster
-  // after leadership churn: §5.4.2 keeps the new leader from committing the
-  // prior-term blocks holding every gate slot, and the gate keeps any new
-  // (committable) proposal from entering. This scenario found that.
-  overrides.raft_leader_noop = true;
-  // Re-mint (geth-raft minter idiom): blocks whose Raft entry is lost to
-  // leadership churn must return their txns to the mempool, or the orphans
-  // pin every gate slot forever — the second livelock this scenario found.
-  overrides.quorum_reproposal_timeout = 1 * sim::kSec;
   overrides.admission.policy =
       systems::runtime::AdmissionPolicy::kRejectNewest;
   overrides.admission.max_inflight = 128;
@@ -739,6 +736,8 @@ ScenarioResult RunOverloadShedScenario(const ScenarioOptions& options,
   for (uint32_t i = 0; i < sched.num_nodes; i++) {
     ledger_audit::AuditChain(quorum->chain_of(i), "node " + std::to_string(i),
                              &result.report);
+    ledger_audit::CheckTxnsOnce(quorum->chain_of(i),
+                                "node " + std::to_string(i), &result.report);
     chains.push_back(&quorum->chain_of(i));
   }
   ledger_audit::CheckPrefixAgreement(chains, &result.report);
@@ -1037,8 +1036,6 @@ class ElasticRaftGroup {
     transport.kind = systems::runtime::TransportKind::kRaft;
     transport.raft.unsafe_commit_without_quorum =
         bug == BugInjection::kRaftCommitWithoutQuorum;
-    transport.raft = systems::runtime::RaftLifecycle::GroupConfig(
-        transport.raft, elasticity_);
     transport_ = std::make_unique<systems::runtime::Transport>(
         &sim_, &net_, &costs_, MakeIds(opts_.initial_nodes), transport,
         [this](size_t index, uint64_t seq, const std::string& cmd) {

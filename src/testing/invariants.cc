@@ -1,6 +1,7 @@
 #include "testing/invariants.h"
 
 #include <algorithm>
+#include <unordered_map>
 
 #include "adt/mpt.h"
 #include "crypto/sha256.h"
@@ -268,6 +269,23 @@ void CheckPrefixAgreement(const std::vector<const ledger::Chain*>& chains,
                           " diverge at height " + std::to_string(h));
           break;
         }
+      }
+    }
+  }
+}
+
+void CheckTxnsOnce(const ledger::Chain& chain, const std::string& label,
+                   InvariantReport* report) {
+  std::unordered_map<uint64_t, uint64_t> first_height;
+  for (uint64_t h = 0; h < chain.height(); h++) {
+    for (const auto& txn : chain.block(h).txns) {
+      auto [it, fresh] = first_height.emplace(txn.txn_id, h);
+      if (!fresh) {
+        report->Add("ledger-once",
+                    label + ": txn " + std::to_string(txn.txn_id) +
+                        " applied at heights " + std::to_string(it->second) +
+                        " and " + std::to_string(h));
+        return;
       }
     }
   }

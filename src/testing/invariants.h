@@ -177,6 +177,9 @@ class CatchupDigestChecker {
 ///                      are prefixes of one history
 ///   ledger-state       replaying every block's write sets into a fresh MPT
 ///                      reproduces each header's state_digest
+///   ledger-once        no txn id appears twice on one node's chain: a txn
+///                      re-cut from a block reported lost is applied once
+///                      even when that block commits after all
 namespace ledger_audit {
 
 void AuditChain(const ledger::Chain& chain, const std::string& label,
@@ -184,6 +187,9 @@ void AuditChain(const ledger::Chain& chain, const std::string& label,
 
 void CheckPrefixAgreement(const std::vector<const ledger::Chain*>& chains,
                           InvariantReport* report);
+
+void CheckTxnsOnce(const ledger::Chain& chain, const std::string& label,
+                   InvariantReport* report);
 
 /// `initial` seeds the replay state (scenario pre-loads), applied before
 /// block 0.

@@ -74,13 +74,15 @@ TEST(RaftTest, CommitsAndAppliesEverywhere) {
   }
   h.sim.RunFor(2 * sim::kSec);
   EXPECT_EQ(committed, 10);
+  // The leader's election no-op comes first, then the 10 commands.
   for (RaftNode* n : h.cluster->all()) {
-    EXPECT_EQ(h.applied[n->id()].size(), 10u) << "node " << n->id();
+    EXPECT_EQ(h.applied[n->id()].size(), 11u) << "node " << n->id();
   }
   h.CheckNoDivergence();
   // Entries applied in order with the right contents.
+  EXPECT_EQ(h.applied[0][0].second, "");
   for (int i = 0; i < 10; i++) {
-    EXPECT_EQ(h.applied[0][i].second, "cmd" + std::to_string(i));
+    EXPECT_EQ(h.applied[0][i + 1].second, "cmd" + std::to_string(i));
   }
 }
 
@@ -136,8 +138,84 @@ TEST(RaftTest, CommittedEntriesSurviveFailover) {
   leader->Crash();
   RaftNode* new_leader = h.WaitForLeader(10 * sim::kSec);
   ASSERT_NE(new_leader, nullptr);
-  ASSERT_GE(new_leader->commit_index(), 1u);
-  EXPECT_EQ(new_leader->CommittedEntry(1), "durable");
+  // Index 1 is the first leader's election no-op.
+  ASSERT_GE(new_leader->commit_index(), 2u);
+  EXPECT_EQ(new_leader->CommittedEntry(1), "");
+  EXPECT_EQ(new_leader->CommittedEntry(2), "durable");
+}
+
+// Raft §8: an entry of a prior term, replicated everywhere but not yet
+// known committed, commits under the next leader with no client traffic,
+// because that leader's own no-op carries it.
+TEST(RaftTest, NewLeaderCommitsPriorTermEntryWithoutTraffic) {
+  RaftHarness h(3);
+  RaftNode* leader = h.WaitForLeader();
+  ASSERT_NE(leader, nullptr);
+  h.sim.RunFor(1 * sim::kSec);
+  leader->Propose("orphan", [](Status, uint64_t) {});
+  const uint64_t index = leader->log_size();
+  // Crash the leader once every follower holds the entry, before a
+  // heartbeat can tell them it committed.
+  auto replicated = [&] {
+    for (RaftNode* n : h.cluster->all()) {
+      if (n->log_size() < index) return false;
+    }
+    return true;
+  };
+  while (!replicated()) h.sim.RunFor(100);
+  leader->Crash();
+  for (RaftNode* n : h.cluster->all()) {
+    if (n == leader) continue;
+    ASSERT_LT(n->commit_index(), index) << n->id();
+  }
+
+  RaftNode* successor = h.WaitForLeader(10 * sim::kSec);
+  ASSERT_NE(successor, nullptr);
+  h.sim.RunFor(1 * sim::kSec);
+  ASSERT_GE(successor->commit_index(), index);
+  EXPECT_EQ(successor->CommittedEntry(index), "orphan");
+  EXPECT_EQ(successor->CommittedEntry(index + 1), "");  // its no-op
+  for (RaftNode* n : h.cluster->all()) {
+    if (n == leader) continue;
+    ASSERT_FALSE(h.applied[n->id()].empty());
+    EXPECT_EQ(h.applied[n->id()].back().second, "") << n->id();
+    EXPECT_EQ(h.applied[n->id()].size(), index + 1) << n->id();
+  }
+  h.CheckNoDivergence();
+}
+
+// A follower hundreds of entries behind a new leader, whose probe starts
+// at the leader's log end, answers with its own log end; the leader jumps
+// nextIndex there and ships the backlog, instead of walking back one
+// rejected probe per entry.
+TEST(RaftTest, LaggingFollowerCatchesUpInOneRejectedProbe) {
+  RaftHarness h(5);
+  RaftNode* leader = h.WaitForLeader();
+  ASSERT_NE(leader, nullptr);
+  RaftNode* laggard = h.cluster->node((leader->id() + 1) % 5);
+  laggard->Crash();
+  for (int i = 0; i < 400; i++) {
+    leader->Propose("cmd" + std::to_string(i), [](Status, uint64_t) {});
+  }
+  h.sim.RunFor(2 * sim::kSec);
+  // A successor sets every nextIndex past its own log end.
+  leader->Crash();
+  RaftNode* successor = h.WaitForLeader(10 * sim::kSec);
+  ASSERT_NE(successor, nullptr);
+  h.sim.RunFor(1 * sim::kSec);
+  ASSERT_GE(successor->log_size(), laggard->log_size() + 400);
+
+  const uint64_t sent_before = h.net.messages_sent();
+  laggard->Restart();
+  // One heartbeat interval brings the probe; its rejection and the
+  // backlog take a few more round trips.
+  h.sim.RunFor(80 * sim::kMs);
+  EXPECT_EQ(laggard->log_size(), successor->log_size());
+  EXPECT_EQ(laggard->commit_index(), successor->commit_index());
+  // Heartbeats, the rejected probe and the backlog take about ten
+  // messages; walking back one entry per probe takes hundreds.
+  EXPECT_LT(h.net.messages_sent() - sent_before, 40u);
+  h.CheckNoDivergence();
 }
 
 TEST(RaftTest, MinorityPartitionCannotCommit) {

@@ -91,12 +91,14 @@ TEST(RaftSharedLogTest, EveryReplicaHoldsTheLeadersBuffer) {
   for (NodeId id : g.ids) {
     committed = std::min(committed, g.raft()->node(id)->commit_index());
   }
-  ASSERT_EQ(committed, 200u);
+  // The leader's election no-op at index 1, then the 200 commands.
+  ASSERT_EQ(committed, 201u);
   for (uint64_t i = 1; i <= committed; i++) g.ExpectSharedEntry(i);
   RaftNode* leader = g.raft()->leader();
   ASSERT_NE(leader, nullptr);
-  EXPECT_EQ(leader->CommittedEntry(1), Command("cmd", 0));
-  EXPECT_EQ(leader->CommittedEntry(200), Command("cmd", 199));
+  EXPECT_EQ(leader->CommittedEntry(1), "");
+  EXPECT_EQ(leader->CommittedEntry(2), Command("cmd", 0));
+  EXPECT_EQ(leader->CommittedEntry(201), Command("cmd", 199));
 }
 
 // A stale leader and one follower, cut off together, share a suffix the
@@ -110,7 +112,7 @@ TEST(RaftSharedLogTest, TruncatedSuffixLeavesLeaderEntriesIntact) {
   RaftNode* stale = g.raft()->leader();
   ASSERT_NE(stale, nullptr);
   const uint64_t base = stale->commit_index();
-  ASSERT_EQ(base, 20u);
+  ASSERT_EQ(base, 21u);  // the election no-op and 20 commands
   RaftNode* follower = g.raft()->node(stale->id() == 0 ? 1 : 0);
   std::vector<NodeId> majority;
   for (NodeId id : g.ids) {
@@ -139,15 +141,17 @@ TEST(RaftSharedLogTest, TruncatedSuffixLeavesLeaderEntriesIntact) {
   ASSERT_NE(leader, nullptr);
   ASSERT_NE(leader, stale);
   ASSERT_NE(leader, follower);
-  ASSERT_EQ(leader->commit_index(), base + 10);
+  // The successor's election no-op at base + 1, then the 10 fresh entries.
+  ASSERT_EQ(leader->commit_index(), base + 11);
+  EXPECT_EQ(leader->CommittedEntry(base + 1), "");
   for (int k = 0; k < 10; k++) {
-    EXPECT_EQ(leader->CommittedEntry(base + 1 + k), Command("fresh", k));
+    EXPECT_EQ(leader->CommittedEntry(base + 2 + k), Command("fresh", k));
   }
   for (NodeId id : g.ids) {
-    EXPECT_EQ(g.raft()->node(id)->commit_index(), base + 10) << id;
-    EXPECT_EQ(g.raft()->node(id)->log_size(), base + 10) << id;
+    EXPECT_EQ(g.raft()->node(id)->commit_index(), base + 11) << id;
+    EXPECT_EQ(g.raft()->node(id)->log_size(), base + 11) << id;
   }
-  for (uint64_t i = 1; i <= base + 10; i++) g.ExpectSharedEntry(i);
+  for (uint64_t i = 1; i <= base + 11; i++) g.ExpectSharedEntry(i);
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "crypto/sha256.h"
+#include "tests/systems/completion_pinning.h"
 #include "tests/systems/replica_convergence.h"
 #include "workload/driver.h"
 #include "workload/workload.h"
@@ -77,6 +78,15 @@ TEST(HarmonySystemTest, ReplicasConvergeToIdenticalStateAndChain) {
   EXPECT_GT(h.system->epoch_stats().epochs, 0u);
   EXPECT_GT(h.system->epoch_stats().conflict_edges, 0u);
   EXPECT_GE(h.system->epoch_stats().LaneSpeedup(), 1.0);
+}
+
+TEST(HarmonySystemTest, CompletionReplicaAnswersItsEpochsAfterLeaderMoves) {
+  HarmonyHarness h;
+  ExpectWritesAnsweredOnceAcrossLeaderMove(&h, [](uint64_t id) {
+    core::TxnRequest req = RmwTxn(id, "key" + std::to_string(id), "v");
+    req.ops[0].type = core::OpType::kWrite;
+    return req;
+  });
 }
 
 TEST(HarmonySystemTest, RunsUnderBftConsensus) {

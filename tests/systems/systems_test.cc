@@ -1,11 +1,15 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 #include <utility>
+#include <vector>
 
+#include "contract/contract.h"
 #include "systems/etcd.h"
 #include "systems/fabric.h"
 #include "systems/quorum.h"
+#include "tests/systems/completion_pinning.h"
 #include "tests/systems/replica_convergence.h"
 #include "systems/tidb.h"
 #include "workload/driver.h"
@@ -245,6 +249,77 @@ TEST(QuorumSystemTest, ReplicasConvergeToIdenticalStateAndChain) {
     EXPECT_GT(m.committed, 0u);
     ExpectReplicasConverged(*h.system);
   }
+}
+
+TEST(QuorumSystemTest, CompletionReplicaAnswersItsBlocksAfterLeaderMoves) {
+  QuorumHarness h;
+  ExpectWritesAnsweredOnceAcrossLeaderMove(&h, [](uint64_t id) {
+    return PutTxn(id, "key" + std::to_string(id), "value");
+  });
+}
+
+// The proposer pre-executes a deposit into its own state, then its block is
+// lost: the proposer was cut off, and Raft reports the loss at the heal.
+// When the same proposer cuts the deposit again, it must not run it on top
+// of its own earlier execution: the balance ends at 1 on every replica.
+TEST(QuorumSystemTest, LostBlockCutAgainByItsProposerDepositsOnce) {
+  sim::Simulator sim(42);
+  sim::SimNetwork net(&sim, sim::NetworkConfig{});
+  sim::CostModel costs;
+  QuorumConfig config;
+  config.num_nodes = 5;
+  // Cuts at 1 s, 2 s, ...: room to move leadership between two cuts.
+  config.block_interval = 1 * sim::kSec;
+  QuorumSystem system(&sim, &net, &costs, config);
+  system.Start();
+  consensus::RaftCluster* raft = system.transport()->raft();
+  sim.RunUntil(1500 * sim::kMs);
+  ASSERT_NE(raft->leader(), nullptr);
+  const NodeId proposer = raft->leader()->id();
+  std::vector<NodeId> others;
+  for (NodeId id : system.node_ids()) {
+    if (id != proposer) others.push_back(id);
+  }
+  const std::string key = contract::SmallbankContract::CheckingKey("carol");
+  auto balance = [&](NodeId id) -> int64_t {
+    std::string value;
+    if (!system.state_of(id).Get(key, &value).ok()) return 0;
+    return contract::SmallbankContract::DecodeBalance(value);
+  };
+
+  int answers = 0;
+  bool ok = false;
+  system.Submit(SmallbankTxn(1, "deposit_checking",
+                             {"carol", contract::SmallbankContract::
+                                           EncodeBalance(1)}),
+                [&](const core::TxnResult& r) {
+                  answers++;
+                  ok = r.status.ok();
+                });
+  sim.RunUntil(1999 * sim::kMs);
+  net.Partition({{proposer}, others});
+  sim.RunUntil(2100 * sim::kMs);
+  ASSERT_EQ(balance(proposer), 1);  // pre-executed at the 2 s cut
+  ASSERT_EQ(balance(others.front()), 0);
+
+  // Heal just after the 3 s cut, which found the mempool empty; the
+  // proposer hears of the higher term and reports its block lost.
+  sim.RunUntil(3010 * sim::kMs);
+  ASSERT_NE(raft->leader(), nullptr);
+  ASSERT_NE(raft->leader()->id(), proposer);
+  net.HealPartition();
+  sim.RunUntil(3300 * sim::kMs);
+  ASSERT_EQ(system.stats().stages.mempool_depth, 1u);  // requeued
+  ASSERT_NE(raft->leader()->id(), proposer);
+  ASSERT_TRUE(raft->leader()->TransferLeadership(proposer));
+  sim.RunUntil(3900 * sim::kMs);
+  ASSERT_EQ(raft->leader()->id(), proposer);  // it cuts the deposit at 4 s
+
+  sim.RunUntil(8 * sim::kSec);
+  EXPECT_EQ(answers, 1);
+  EXPECT_TRUE(ok);
+  for (NodeId id : system.node_ids()) EXPECT_EQ(balance(id), 1) << id;
+  ExpectReplicasConverged(system);
 }
 
 // ---------------------------------------------------------------------------
