@@ -49,7 +49,7 @@ int main() {
     chain.Append(std::move(block));
   }
   auto inclusion = chain.ProveTxn(3, 5);
-  const ledger::Block& block3 = chain.block(3);
+  const ledger::BlockView block3 = chain.block(3);
   bool included = crypto::VerifyMerkleProof(block3.txns[5].Serialize(),
                                             inclusion.value(),
                                             block3.header.txn_root);
@@ -59,7 +59,7 @@ int main() {
   printf("\n3) Tamper evidence: rewrite history, get caught\n");
   printf("   chain verifies before tampering: %s\n",
          chain.Verify().ToString().c_str());
-  chain.MutableBlockForTest(2)->txns[1].payload = "transfer #999999";
+  chain.MutableBlockForTest(2).txns[1].payload = "transfer #999999";
   printf("   ...a node silently rewrites a transaction in block 2...\n");
   printf("   chain verifies after tampering:  %s\n",
          chain.Verify().ToString().c_str());

@@ -300,8 +300,8 @@ void HybridSystem::ApplyBatch(size_t node_index, const std::string& batch) {
       }
     }
     if (config_.design.ledger == LedgerAbstraction::kChain) {
-      block.SealTxnRoot();
-      node->chain.Append(std::move(block));
+      node->chain.AppendSealed(
+          block.header, ledger::SealedBody::Seal(std::move(block.txns)));
     }
   });
 }

@@ -4,6 +4,29 @@
 
 namespace dicho::ledger {
 
+namespace {
+
+constexpr uint64_t kHeaderBytes = 8 + 32 * 3 + 8;
+
+crypto::MerkleTree TxnTree(const std::vector<LedgerTxn>& txns) {
+  std::vector<std::string> leaves;
+  leaves.reserve(txns.size());
+  for (const auto& txn : txns) leaves.push_back(txn.Serialize());
+  return crypto::MerkleTree(leaves);
+}
+
+// The txn part of Block::Serialize()'s size.
+uint64_t TxnsByteSize(const std::vector<LedgerTxn>& txns) {
+  uint64_t total = VarintLength(txns.size());
+  for (const auto& txn : txns) {
+    uint64_t txn_bytes = txn.ByteSize();
+    total += VarintLength(txn_bytes) + txn_bytes;
+  }
+  return total;
+}
+
+}  // namespace
+
 std::string LedgerTxn::Serialize() const {
   std::string out;
   PutFixed64(&out, txn_id);
@@ -108,12 +131,7 @@ std::string BlockHeader::Serialize() const {
   return out;
 }
 
-void Block::SealTxnRoot() {
-  std::vector<std::string> leaves;
-  leaves.reserve(txns.size());
-  for (const auto& txn : txns) leaves.push_back(txn.Serialize());
-  header.txn_root = crypto::MerkleTree(leaves).root();
-}
+void Block::SealTxnRoot() { header.txn_root = TxnTree(txns).root(); }
 
 std::string Block::Serialize() const {
   std::string out = header.Serialize();
@@ -122,19 +140,11 @@ std::string Block::Serialize() const {
   return out;
 }
 
-uint64_t Block::ByteSize() const {
-  uint64_t total = 8 + 32 * 3 + 8;  // header
-  total += VarintLength(txns.size());
-  for (const auto& txn : txns) {
-    uint64_t txn_bytes = txn.ByteSize();
-    total += VarintLength(txn_bytes) + txn_bytes;
-  }
-  return total;
-}
+uint64_t Block::ByteSize() const { return kHeaderBytes + TxnsByteSize(txns); }
 
 bool Block::Deserialize(const std::string& data, Block* out) {
   Slice in(data);
-  if (in.size() < 8 + 32 * 3 + 8) return false;
+  if (in.size() < kHeaderBytes) return false;
   if (!GetFixed64(&in, &out->header.number)) return false;
   out->header.parent = crypto::DigestFromBytes(Slice(in.data(), 32));
   in.RemovePrefix(32);
@@ -156,24 +166,41 @@ bool Block::Deserialize(const std::string& data, Block* out) {
   return in.empty();
 }
 
-Status Chain::Append(Block block) {
-  if (block.header.number != blocks_.size()) {
+SealedBodyPtr SealedBody::Seal(std::vector<LedgerTxn> txns) {
+  std::shared_ptr<SealedBody> body(new SealedBody);
+  body->root_ = TxnTree(txns).root();
+  body->bytes_ = TxnsByteSize(txns);
+  body->txns_ = std::move(txns);
+  return body;
+}
+
+Status Chain::CheckLink(const BlockHeader& header) const {
+  if (header.number != blocks_.size()) {
     return Status::InvalidArgument("non-sequential block number");
   }
-  crypto::Digest expected_parent =
-      blocks_.empty() ? crypto::ZeroDigest() : blocks_.back().header.Hash();
-  if (block.header.parent != expected_parent) {
+  if (header.parent != TipDigest()) {
     return Status::Corruption("parent hash mismatch");
   }
-  // Verify the claimed transaction root.
-  std::vector<std::string> leaves;
-  for (const auto& txn : block.txns) leaves.push_back(txn.Serialize());
-  if (crypto::MerkleTree(leaves).root() != block.header.txn_root) {
+  return Status::Ok();
+}
+
+Status Chain::Append(Block block) {
+  Status s = CheckLink(block.header);
+  if (!s.ok()) return s;
+  SealedBodyPtr body = SealedBody::Seal(std::move(block.txns));
+  if (body->root() != block.header.txn_root) {
     return Status::Corruption("txn root mismatch");
   }
-  total_bytes_ += block.ByteSize();
-  total_txns_ += block.txns.size();
-  blocks_.push_back(std::move(block));
+  return AppendSealed(block.header, std::move(body));
+}
+
+Status Chain::AppendSealed(BlockHeader header, SealedBodyPtr body) {
+  Status s = CheckLink(header);
+  if (!s.ok()) return s;
+  header.txn_root = body->root();
+  total_bytes_ += kHeaderBytes + body->ByteSize();
+  total_txns_ += body->txns().size();
+  blocks_.push_back({header, std::move(body)});
   return Status::Ok();
 }
 
@@ -184,21 +211,19 @@ crypto::Digest Chain::TipDigest() const {
 Status Chain::Verify() const {
   crypto::Digest parent = crypto::ZeroDigest();
   for (size_t i = 0; i < blocks_.size(); i++) {
-    const Block& block = blocks_[i];
-    if (block.header.number != i) {
+    const BlockHeader& header = blocks_[i].header;
+    if (header.number != i) {
       return Status::Corruption("block number broken at " + std::to_string(i));
     }
-    if (block.header.parent != parent) {
+    if (header.parent != parent) {
       return Status::Corruption("hash link broken at block " +
                                 std::to_string(i));
     }
-    std::vector<std::string> leaves;
-    for (const auto& txn : block.txns) leaves.push_back(txn.Serialize());
-    if (crypto::MerkleTree(leaves).root() != block.header.txn_root) {
+    if (TxnTree(blocks_[i].body->txns()).root() != header.txn_root) {
       return Status::Corruption("txn root broken at block " +
                                 std::to_string(i));
     }
-    parent = block.header.Hash();
+    parent = header.Hash();
   }
   return Status::Ok();
 }
@@ -208,13 +233,18 @@ Result<crypto::MerkleProof> Chain::ProveTxn(uint64_t block_number,
   if (block_number >= blocks_.size()) {
     return Status::NotFound("no such block");
   }
-  const Block& block = blocks_[block_number];
-  if (txn_index >= block.txns.size()) {
+  const std::vector<LedgerTxn>& txns = blocks_[block_number].body->txns();
+  if (txn_index >= txns.size()) {
     return Status::NotFound("no such txn");
   }
-  std::vector<std::string> leaves;
-  for (const auto& txn : block.txns) leaves.push_back(txn.Serialize());
-  return crypto::MerkleTree(leaves).Prove(txn_index);
+  return TxnTree(txns).Prove(txn_index);
+}
+
+MutableBlockView Chain::MutableBlockForTest(uint64_t number) {
+  Entry& entry = blocks_[number];
+  std::shared_ptr<SealedBody> copy(new SealedBody(*entry.body));
+  entry.body = copy;
+  return {entry.header, copy->txns_};
 }
 
 }  // namespace dicho::ledger

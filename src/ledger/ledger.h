@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -37,6 +38,8 @@ struct LedgerTxn {
   /// byte copying (a hot-path cost on every block append; pinned to the
   /// wire format by a ledger test).
   uint64_t ByteSize() const;
+
+  bool operator==(const LedgerTxn&) const = default;
 };
 
 struct BlockHeader {
@@ -62,6 +65,43 @@ struct Block {
   uint64_t ByteSize() const;
 };
 
+class SealedBody;
+using SealedBodyPtr = std::shared_ptr<const SealedBody>;
+
+/// A block's transactions with their Merkle root, hashed once when sealed
+/// and immutable after. Chains that recorded the same transactions hold the
+/// same body; only headers are per chain (DESIGN.md §2c).
+class SealedBody {
+ public:
+  static SealedBodyPtr Seal(std::vector<LedgerTxn> txns);
+
+  const std::vector<LedgerTxn>& txns() const { return txns_; }
+  const crypto::Digest& root() const { return root_; }
+  /// Block::ByteSize() of a block carrying these txns, header excluded.
+  uint64_t ByteSize() const { return bytes_; }
+
+ private:
+  friend class Chain;  // copy-on-write in MutableBlockForTest
+  SealedBody() = default;
+
+  std::vector<LedgerTxn> txns_;
+  crypto::Digest root_ = crypto::ZeroDigest();
+  uint64_t bytes_ = 0;
+};
+
+/// One block as a chain holds it: its own header over a possibly shared
+/// body. Refers into the chain, so it is valid until the chain changes.
+struct BlockView {
+  const BlockHeader& header;
+  const std::vector<LedgerTxn>& txns;
+};
+
+/// TESTING ONLY: a block of one chain opened for tampering.
+struct MutableBlockView {
+  BlockHeader& header;
+  std::vector<LedgerTxn>& txns;
+};
+
 /// The append-only hash-linked chain of blocks. Verify() recomputes every
 /// hash link and Merkle root, so any bit flipped anywhere in history is
 /// detected — the tamper-evidence property databases lack (Section 3.3.1).
@@ -69,30 +109,50 @@ class Chain {
  public:
   Chain() = default;
 
-  /// Appends after checking the parent link and txn root. The genesis block
-  /// (number 0) must have a zero parent.
+  /// Appends after checking the block number, the parent link and the
+  /// claimed txn root. The genesis block (number 0) must have a zero parent.
   Status Append(Block block);
+  /// Appends a body sealed elsewhere after checking the block number and
+  /// the parent link; the header's txn root is taken from the body.
+  Status AppendSealed(BlockHeader header, SealedBodyPtr body);
 
   uint64_t height() const { return blocks_.size(); }
-  const Block& block(uint64_t number) const { return blocks_[number]; }
+  BlockView block(uint64_t number) const {
+    const Entry& entry = blocks_[number];
+    return {entry.header, entry.body->txns()};
+  }
+  /// The body this chain holds at `number` (shared with every chain that
+  /// appended the same one).
+  const SealedBodyPtr& body(uint64_t number) const {
+    return blocks_[number].body;
+  }
   crypto::Digest TipDigest() const;
 
-  /// Full-chain integrity check.
+  /// Full-chain integrity check; re-hashes every body.
   Status Verify() const;
 
   /// Merkle inclusion proof that `txn_index` of `block_number` is on chain.
   Result<crypto::MerkleProof> ProveTxn(uint64_t block_number,
                                        uint64_t txn_index) const;
 
-  /// Ledger storage consumed (Fig. 12's "block storage").
+  /// Ledger storage written by this chain (Fig. 12's "block storage"):
+  /// logical bytes, counted in full however many chains share a body.
   uint64_t TotalBytes() const { return total_bytes_; }
   uint64_t TotalTxns() const { return total_txns_; }
 
-  /// TESTING ONLY: direct mutable access used by tamper-detection tests.
-  Block* MutableBlockForTest(uint64_t number) { return &blocks_[number]; }
+  /// TESTING ONLY: mutable access used by tamper-detection tests. The body
+  /// is copied first, so no other chain sharing it sees the change.
+  MutableBlockView MutableBlockForTest(uint64_t number);
 
  private:
-  std::vector<Block> blocks_;
+  struct Entry {
+    BlockHeader header;
+    SealedBodyPtr body;
+  };
+
+  Status CheckLink(const BlockHeader& header) const;
+
+  std::vector<Entry> blocks_;
   uint64_t total_bytes_ = 0;
   uint64_t total_txns_ = 0;
 };

@@ -315,8 +315,9 @@ void FabricSystem::OnBlockDelivered(NodeId peer_id,
       }
       ledger_block.txns.push_back(std::move(txn));
     }
-    ledger_block.SealTxnRoot();
-    peer->chain.Append(std::move(ledger_block));
+    peer->chain.AppendSealed(
+        ledger_block.header,
+        ledger::SealedBody::Seal(std::move(ledger_block.txns)));
     if (runtime::ReplicaTracker* t = tracker(peer_id)) {
       t->OnEntry(block_seq, 0, writes);
     }

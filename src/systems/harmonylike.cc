@@ -31,17 +31,15 @@ runtime::BlockPipelineConfig PipelineConfig(const sim::CostModel* costs,
   return pipeline;
 }
 
-// The executor's input besides the pre-state: the epoch's txn payloads in
-// order, each length-prefixed so that no two different epochs concatenate
-// to the same bytes.
-crypto::Digest EpochInput(const ledger::Block& block) {
-  crypto::Sha256 sha;
-  for (const auto& txn : block.txns) {
-    const uint64_t len = txn.payload.size();
-    sha.Update(&len, sizeof(len));
-    sha.Update(txn.payload);
+// Whether `block` carries exactly `payloads`, in order: the executor's
+// input besides the pre-state, compared byte for byte.
+bool SamePayloads(const std::vector<std::string>& payloads,
+                  const ledger::Block& block) {
+  if (payloads.size() != block.txns.size()) return false;
+  for (size_t i = 0; i < payloads.size(); i++) {
+    if (payloads[i] != block.txns[i].payload) return false;
   }
-  return sha.Finish();
+  return true;
 }
 
 }  // namespace
@@ -56,7 +54,7 @@ HarmonySystem::HarmonySystem(sim::Simulator* sim, sim::SimNetwork* net,
       pipeline_(sim, net, costs, PipelineConfig(costs, config_),
                 MakeHooks(sim, costs)) {
   pipeline_.nodes().ForEach(
-      [this](runtime::BlockNode& node) { ShareWorldState(&node); });
+      [this](sim::NodeId id, runtime::BlockNode&) { ShareWorldState(id); });
   if (config_.elasticity.enabled &&
       config_.consensus == HarmonyConsensus::kRaft) {
     lifecycle_ = std::make_unique<runtime::RaftLifecycle>(
@@ -118,7 +116,8 @@ void HarmonySystem::Start() {
   if (lifecycle_ != nullptr) lifecycle_->Start();
 }
 
-void HarmonySystem::ShareWorldState(runtime::BlockNode* node) {
+void HarmonySystem::ShareWorldState(sim::NodeId id) {
+  runtime::BlockNode* node = &pipeline_.node(id);
   if (config_.fast_storage) {
     // Out-of-line threshold chosen at the record sizes where full-path
     // re-hashing dominates (Fig. 11's knee); must be set before any state
@@ -130,9 +129,9 @@ void HarmonySystem::ShareWorldState(runtime::BlockNode* node) {
   // One content-addressed node store per world: every replica's trie files
   // its nodes in the first replica's stores and keeps its own root, so an
   // epoch computed once can be adopted everywhere (ApplyEpoch). The stores
-  // are not thread-safe; they need no lock because BlockPipeline never sets
-  // partition_replicas, so every replica, joiners included, runs on
+  // are not thread-safe, so every replica, joiners included, must run on
   // simulator partition 0.
+  runtime::RequireSerialReplica(sim_, id);
   runtime::BlockNode& first = pipeline_.nodes().at_index(0);
   if (node != &first) node->state.ShareStoresOf(first.state);
 }
@@ -140,7 +139,7 @@ void HarmonySystem::ShareWorldState(runtime::BlockNode* node) {
 sim::NodeId HarmonySystem::AddReplica(
     std::function<void(const runtime::JoinReport&)> done) {
   sim::NodeId id = pipeline_.nodes().Grow(sim_);
-  ShareWorldState(&pipeline_.node(id));
+  ShareWorldState(id);
   lifecycle_->Join(id, std::move(done));
   return id;
 }
@@ -160,11 +159,11 @@ sim::Time HarmonySystem::ApplyEpoch(sim::NodeId node_id, uint64_t seq,
   // outcomes and makespan, without executing or rehashing the trie. Any
   // other replica (one that diverged, or applies a different block at this
   // height, or was cut off until its epoch aged out) computes it.
-  const crypto::Digest input = EpochInput(*block);
   auto memo = std::find_if(
       transitions_.begin(), transitions_.end(),
       [&](const EpochTransition& t) {
-        return t.input == input && t.before.root == node->state.RootDigest();
+        return t.before.root == node->state.RootDigest() &&
+               SamePayloads(t.payloads, *block);
       });
   EpochTransition computed;
   const EpochTransition* transition;
@@ -173,7 +172,7 @@ sim::Time HarmonySystem::ApplyEpoch(sim::NodeId node_id, uint64_t seq,
     transition = &*memo;
   } else {
     memo = transitions_.end();
-    computed = ComputeEpoch(node, input, *block);
+    computed = ComputeEpoch(node, *block);
     transition = &computed;
   }
 
@@ -220,23 +219,23 @@ sim::Time HarmonySystem::ApplyEpoch(sim::NodeId node_id, uint64_t seq,
 }
 
 HarmonySystem::EpochTransition HarmonySystem::ComputeEpoch(
-    runtime::BlockNode* node, const crypto::Digest& input,
-    const ledger::Block& block) {
+    runtime::BlockNode* node, const ledger::Block& block) {
   // The sequencer never pre-executed, so this runs the same deterministic
   // schedule against committed state as every other replica. Blocks are
   // delivered in commit order and writes apply synchronously here, so each
   // epoch reads its predecessor's effects even while the modeled CPU is
   // still draining earlier epochs.
+  EpochTransition transition;
   std::vector<core::TxnRequest> batch;
   batch.reserve(block.txns.size());
+  transition.payloads.reserve(block.txns.size());
   for (const auto& txn : block.txns) {
+    transition.payloads.push_back(txn.payload);
     core::TxnRequest request;
     if (core::TxnRequest::Deserialize(txn.payload, &request)) {
       batch.push_back(std::move(request));
     }
   }
-  EpochTransition transition;
-  transition.input = input;
   transition.before = node->state.checkpoint();
   runtime::MptView view(&node->state);
   txn::EpochOutcome outcome = executor_.ExecuteEpoch(batch, &view);

@@ -10,7 +10,6 @@
 #include "adt/mpt.h"
 #include "contract/contract.h"
 #include "core/types.h"
-#include "crypto/sha256.h"
 #include "ledger/ledger.h"
 #include "sim/cost_model.h"
 #include "sim/network.h"
@@ -136,6 +135,8 @@ class HarmonySystem : public core::TransactionalSystem {
   /// A replica cut off for longer recomputes what aged out on its return.
   static constexpr size_t kMaxTransitions = 16;
   size_t transitions_held() const { return transitions_.size(); }
+  /// Sealed bodies kept for replicas yet to append them (see BlockPipeline).
+  size_t bodies_held() const { return pipeline_.bodies_held(); }
 
   /// Writes straight into one replica's state, bypassing consensus, so a
   /// test can make that replica diverge.
@@ -147,9 +148,9 @@ class HarmonySystem : public core::TransactionalSystem {
  private:
   /// One epoch as computed on one replica: everything its outcome feeds
   /// back, keyed by the executor's whole input (pre-state root in
-  /// `before`, the payload digest in `input`).
+  /// `before`, the ordered txn payloads, compared byte for byte).
   struct EpochTransition {
-    crypto::Digest input{};
+    std::vector<std::string> payloads;
     adt::MerklePatriciaTrie::Checkpoint before;
     adt::MerklePatriciaTrie::Checkpoint after;
     std::vector<std::pair<bool, contract::WriteSet>> txns;  // valid, writes
@@ -164,12 +165,11 @@ class HarmonySystem : public core::TransactionalSystem {
                                           const sim::CostModel* costs);
   /// Configures a replica's MPT like its peers' and files it in the first
   /// replica's node stores.
-  void ShareWorldState(runtime::BlockNode* node);
+  void ShareWorldState(sim::NodeId id);
   /// Runs one ordered epoch on a replica; returns its multi-lane makespan.
   sim::Time ApplyEpoch(sim::NodeId node, uint64_t seq, ledger::Block* block);
   /// Executes an epoch against a replica's state and commits its writes.
   EpochTransition ComputeEpoch(runtime::BlockNode* node,
-                               const crypto::Digest& input,
                                const ledger::Block& block);
 
   sim::Simulator* sim_;

@@ -84,6 +84,8 @@ class QuorumSystem : public core::TransactionalSystem {
   const std::vector<NodeId>& node_ids() const {
     return pipeline_.nodes().ids();
   }
+  /// Sealed bodies kept for replicas yet to append them (see BlockPipeline).
+  size_t bodies_held() const { return pipeline_.bodies_held(); }
 
  private:
   runtime::BlockPipeline::Hooks MakeHooks(sim::Simulator* sim);

@@ -1,5 +1,7 @@
 #include "systems/runtime/block_pipeline.h"
 
+#include <cstdio>
+#include <cstdlib>
 #include <utility>
 #include <vector>
 
@@ -7,6 +9,16 @@
 #include "obs/trace.h"
 
 namespace dicho::systems::runtime {
+
+void RequireSerialReplica(const sim::Simulator* sim, sim::NodeId node) {
+  if (sim->PartitionOfNode(node) == 0) return;
+  std::fprintf(stderr,
+               "block pipeline: replica %u runs on simulator partition %u; "
+               "state shared across replicas needs every one on partition 0\n",
+               static_cast<unsigned>(node),
+               static_cast<unsigned>(sim->PartitionOfNode(node)));
+  std::abort();
+}
 
 BlockPipeline::BlockPipeline(sim::Simulator* sim, sim::SimNetwork* net,
                              const sim::CostModel* costs,
@@ -165,17 +177,19 @@ void BlockPipeline::OnCommitted(sim::NodeId node_id, uint64_t seq,
   for (const auto& txn : block.txns) {
     committed_.try_emplace(txn.txn_id, FirstCommit{seq, txn.valid});
   }
+  RequireSerialReplica(sim_, node_id);
+  ledger::SealedBodyPtr body = SealOnce(std::move(block.txns));
 
   BlockNode* node = &nodes_.at(node_id);
-  auto shared = std::make_shared<ledger::Block>(std::move(block));
-  node->cpu.Submit(cost, [this, node_id, node, shared, cut,
-                          txn_ids = std::move(txn_ids), ordered_time] {
+  node->cpu.Submit(cost, [this, node_id, node, header = block.header,
+                          body = std::move(body), cut,
+                          txn_ids = std::move(txn_ids),
+                          ordered_time]() mutable {
     // Replies only enqueue sends, so answering before the append below
-    // moves the block into the chain changes no event. A txn is answered
-    // by the replica its cut pinned, and only for the block that last
-    // carried it: leadership may have moved since the cut, and a block
-    // reported lost may still commit after its txns were re-cut. The
-    // outcome is that of the txn's first commit.
+    // changes no event. A txn is answered by the replica its cut pinned,
+    // and only for the block that last carried it: leadership may have
+    // moved since the cut, and a block reported lost may still commit after
+    // its txns were re-cut. The outcome is that of the txn's first commit.
     for (uint64_t txn_id : txn_ids) {
       const PendingTxn* pinned = inflight_.Find(txn_id);
       if (pinned == nullptr || pinned->block != cut ||
@@ -189,11 +203,31 @@ void BlockPipeline::OnCommitted(sim::NodeId node_id, uint64_t seq,
     }
     // Re-link the block onto this replica's own chain (proposer chains can
     // briefly diverge across view changes; every chain stays linear).
-    shared->header.number = node->chain.height();
-    shared->header.parent = node->chain.TipDigest();
-    shared->SealTxnRoot();
-    node->chain.Append(std::move(*shared));
+    header.number = node->chain.height();
+    header.parent = node->chain.TipDigest();
+    node->chain.AppendSealed(header, std::move(body));
   });
+}
+
+ledger::SealedBodyPtr BlockPipeline::SealOnce(
+    std::vector<ledger::LedgerTxn> txns) {
+  // Replicas that applied the same txns to the same outcome append the same
+  // body. Equality covers every field, so a replica that diverged, applied
+  // a different block at this height or executed differently misses and
+  // seals its own.
+  for (auto held = bodies_.begin(); held != bodies_.end(); ++held) {
+    if (held->body->txns() != txns) continue;
+    ledger::SealedBodyPtr body = held->body;
+    if (--held->adopters_left == 0) bodies_.erase(held);
+    return body;
+  }
+  ledger::SealedBodyPtr body = ledger::SealedBody::Seal(std::move(txns));
+  if (nodes_.size() > 1) {
+    // Bounded so that a replica that stops applying cannot make it grow.
+    if (bodies_.size() == kMaxBodies) bodies_.pop_front();
+    bodies_.push_back({body, nodes_.size() - 1});
+  }
+  return body;
 }
 
 void BlockPipeline::Reply(sim::NodeId node_id, PendingTxn pending, bool valid,

@@ -2,6 +2,7 @@
 #define DICHO_SYSTEMS_RUNTIME_BLOCK_PIPELINE_H_
 
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <memory>
 #include <string>
@@ -30,6 +31,11 @@ struct BlockNode {
   ledger::Chain chain;
   sim::CpuResource cpu;
 };
+
+/// Aborts unless `node` runs on simulator partition 0. What a world's
+/// replicas share (the pipeline's sealed bodies, harmonylike's node stores)
+/// takes no lock, so it is sound only while one thread runs them all.
+void RequireSerialReplica(const sim::Simulator* sim, sim::NodeId node);
 
 /// Read view over a replica's MPT state.
 class MptView : public contract::StateView {
@@ -84,6 +90,10 @@ struct BlockPipelineConfig {
 /// entry), so a txn id can reach the committed order twice: every replica
 /// applies only its first commit, as Ethereum's nonce check would.
 ///
+/// Each distinct block body is sealed (Merkle-hashed) once per world:
+/// replicas whose applied txns are equal append one shared body, each under
+/// its own header (DESIGN.md §2c).
+///
 /// The systems differ only in how a replica executes an ordered block
 /// (Quorum pre-executes on the proposer and re-executes elsewhere;
 /// harmonylike runs a deterministic epoch), so that is what the hooks
@@ -133,6 +143,11 @@ class BlockPipeline {
   BlockNode& node(sim::NodeId id) { return nodes_.at(id); }
   const BlockNode& node(sim::NodeId id) const { return nodes_.at(id); }
 
+  /// Sealed bodies kept for the replicas that have not applied them yet. A
+  /// replica cut off for longer seals its own on its return.
+  static constexpr size_t kMaxBodies = 16;
+  size_t bodies_held() const { return bodies_.size(); }
+
  private:
   sim::NodeId ProposerId() const;
   /// The replica whose apply completes a block cut by `proposer`: the last
@@ -145,6 +160,8 @@ class BlockPipeline {
   /// the mempool.
   void Requeue(uint64_t block, const std::vector<uint64_t>& txn_ids);
   void OnCommitted(sim::NodeId node_id, uint64_t seq, const std::string& cmd);
+  /// The held body whose txns equal `txns`, or a newly sealed one.
+  ledger::SealedBodyPtr SealOnce(std::vector<ledger::LedgerTxn> txns);
   void Reply(sim::NodeId node_id, PendingTxn pending, bool valid,
              sim::Time ordered_time);
 
@@ -165,6 +182,12 @@ class BlockPipeline {
     bool valid;
   };
   std::unordered_map<uint64_t, FirstCommit> committed_;
+  struct HeldBody {
+    ledger::SealedBodyPtr body;
+    size_t adopters_left;  // replicas yet to apply it
+  };
+  /// Oldest first; at most kMaxBodies.
+  std::deque<HeldBody> bodies_;
   uint64_t next_block_number_ = 0;
 };
 

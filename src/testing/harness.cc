@@ -343,14 +343,14 @@ void SealPipelineBlock(sim::NodeId id, PipelineReplica* replica,
     block.txns.push_back(std::move(txn));
   }
   replica->buffer.clear();
-  block.SealTxnRoot();
   for (const auto& txn : block.txns) {
     for (const auto& [key, value] : txn.write_set) {
       replica->state.Put(key, value);
     }
   }
   block.header.state_digest = replica->state.RootDigest();
-  Status s = replica->chain.Append(std::move(block));
+  Status s = replica->chain.AppendSealed(
+      block.header, ledger::SealedBody::Seal(std::move(block.txns)));
   if (!s.ok()) {
     report->Add("ledger-verify", "node " + std::to_string(id) +
                                      " failed to append its own block: " +

@@ -298,7 +298,7 @@ void CheckStateDigests(
   adt::MerklePatriciaTrie replay;
   for (const auto& [key, value] : initial) replay.Put(key, value);
   for (uint64_t h = 0; h < chain.height(); h++) {
-    const ledger::Block& block = chain.block(h);
+    const ledger::BlockView block = chain.block(h);
     for (const auto& txn : block.txns) {
       if (!txn.valid) continue;  // aborted txns stay on chain, writes don't
       for (const auto& [key, value] : txn.write_set) replay.Put(key, value);

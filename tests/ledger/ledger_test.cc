@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <vector>
+
 #include "common/random.h"
 #include "crypto/signature.h"
 
@@ -121,7 +124,7 @@ TEST(ChainTest, DetectsTamperedTxn) {
   }
   ASSERT_TRUE(chain.Verify().ok());
   // Flip one byte of one transaction deep in history.
-  chain.MutableBlockForTest(2)->txns[1].payload[0] ^= 1;
+  chain.MutableBlockForTest(2).txns[1].payload[0] ^= 1;
   EXPECT_TRUE(chain.Verify().IsCorruption());
 }
 
@@ -131,7 +134,7 @@ TEST(ChainTest, DetectsTamperedHeaderChain) {
     ASSERT_TRUE(chain.Append(MakeBlock(i, chain.TipDigest(), 2)).ok());
   }
   // Rewriting a block's timestamp breaks the hash link to its child.
-  chain.MutableBlockForTest(1)->header.timestamp_us = 999999;
+  chain.MutableBlockForTest(1).header.timestamp_us = 999999;
   EXPECT_TRUE(chain.Verify().IsCorruption());
 }
 
@@ -142,7 +145,7 @@ TEST(ChainTest, TxnInclusionProofs) {
   }
   auto proof = chain.ProveTxn(1, 3);
   ASSERT_TRUE(proof.ok());
-  const Block& block = chain.block(1);
+  const BlockView block = chain.block(1);
   EXPECT_TRUE(crypto::VerifyMerkleProof(block.txns[3].Serialize(),
                                         proof.value(),
                                         block.header.txn_root));
@@ -152,6 +155,92 @@ TEST(ChainTest, TxnInclusionProofs) {
                                          block.header.txn_root));
   EXPECT_FALSE(chain.ProveTxn(99, 0).ok());
   EXPECT_FALSE(chain.ProveTxn(1, 99).ok());
+}
+
+TEST(LedgerTxnTest, EqualityCoversEveryField) {
+  const LedgerTxn base = MakeTxn(9, "payload");
+  EXPECT_EQ(base, MakeTxn(9, "payload"));
+  std::vector<std::function<void(LedgerTxn*)>> edits = {
+      [](LedgerTxn* t) { t->txn_id++; },
+      [](LedgerTxn* t) { t->client_id++; },
+      [](LedgerTxn* t) { t->payload += "x"; },
+      [](LedgerTxn* t) { t->client_signature[0] ^= 1; },
+      [](LedgerTxn* t) { t->endorsements.emplace_back(1, "sig"); },
+      [](LedgerTxn* t) { t->read_set[0].second++; },
+      [](LedgerTxn* t) { t->write_set[0].second += "x"; },
+      [](LedgerTxn* t) { t->valid = false; },
+  };
+  for (size_t i = 0; i < edits.size(); i++) {
+    LedgerTxn edited = base;
+    edits[i](&edited);
+    EXPECT_NE(edited, base) << "edit " << i;
+  }
+}
+
+TEST(SealedBodyTest, SealsRootAndSizeOnce) {
+  Block block = MakeBlock(0, crypto::ZeroDigest(), 6);
+  SealedBodyPtr body = SealedBody::Seal(block.txns);
+  EXPECT_EQ(body->root(), block.header.txn_root);
+  EXPECT_EQ(body->txns(), block.txns);
+  EXPECT_EQ(body->ByteSize() + (8 + 32 * 3 + 8), block.ByteSize());
+  EXPECT_EQ(SealedBody::Seal({})->root(), crypto::ZeroDigest());
+}
+
+// Two chains append one sealed body under their own headers; each keeps
+// its own logical accounting and a tamper stays local to the chain made.
+TEST(ChainTest, SealedAppendSharesOneBody) {
+  Chain a;
+  Chain b;
+  Chain reference;  // the same history through the verifying Append
+  for (uint64_t i = 0; i < 4; i++) {
+    Block block = MakeBlock(i, a.TipDigest(), 3);
+    SealedBodyPtr body = SealedBody::Seal(block.txns);
+    BlockHeader header = block.header;
+    header.txn_root = crypto::ZeroDigest();  // taken from the body
+    ASSERT_TRUE(a.AppendSealed(header, body).ok());
+    header.parent = b.TipDigest();
+    header.state_digest = crypto::Sha256Of("b's own state");
+    ASSERT_TRUE(b.AppendSealed(header, body).ok());
+    ASSERT_TRUE(reference.Append(block).ok());
+  }
+  for (uint64_t i = 0; i < 4; i++) {
+    EXPECT_EQ(a.body(i).get(), b.body(i).get()) << i;
+    EXPECT_EQ(a.block(i).header.txn_root, a.body(i)->root());
+    EXPECT_EQ(a.block(i).header.Hash(), reference.block(i).header.Hash());
+    EXPECT_NE(a.block(i).header.Hash(), b.block(i).header.Hash());
+  }
+  EXPECT_EQ(a.TipDigest(), reference.TipDigest());
+  EXPECT_EQ(a.TotalBytes(), reference.TotalBytes());
+  EXPECT_EQ(b.TotalBytes(), reference.TotalBytes());
+  EXPECT_EQ(b.TotalTxns(), 12u);
+  ASSERT_TRUE(a.Verify().ok());
+  ASSERT_TRUE(b.Verify().ok());
+
+  const SealedBody* shared = b.body(2).get();
+  a.MutableBlockForTest(2).txns[1].payload[0] ^= 1;
+  EXPECT_TRUE(a.Verify().IsCorruption());
+  EXPECT_NE(a.body(2).get(), shared);
+  EXPECT_EQ(b.body(2).get(), shared);
+  EXPECT_EQ(b.block(2).txns[1].payload, "payload");
+  EXPECT_TRUE(b.Verify().ok());
+}
+
+TEST(ChainTest, SealedAppendChecksNumberAndParent) {
+  Chain chain;
+  SealedBodyPtr body = SealedBody::Seal({MakeTxn(1, "p")});
+  BlockHeader header;
+  header.number = 1;
+  EXPECT_FALSE(chain.AppendSealed(header, body).ok());
+  header.number = 0;
+  header.parent = crypto::Sha256Of("wrong");
+  EXPECT_TRUE(chain.AppendSealed(header, body).IsCorruption());
+  header.parent = crypto::ZeroDigest();
+  ASSERT_TRUE(chain.AppendSealed(header, body).ok());
+  header.number = 1;
+  EXPECT_TRUE(chain.AppendSealed(header, body).IsCorruption());
+  header.parent = chain.TipDigest();
+  EXPECT_TRUE(chain.AppendSealed(header, body).ok());
+  EXPECT_EQ(chain.height(), 2u);
 }
 
 TEST(ChainTest, LedgerStorageExceedsStateStorage) {

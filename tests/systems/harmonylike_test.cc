@@ -7,6 +7,7 @@
 #include <string>
 #include <vector>
 
+#include "contract/contract.h"
 #include "crypto/sha256.h"
 #include "tests/systems/completion_pinning.h"
 #include "tests/systems/replica_convergence.h"
@@ -272,6 +273,138 @@ TEST(HarmonySystemTest, MemoStaysBoundedWhileReplicaIsCutOff) {
   const HarmonyEpochStats& stats = h.system->epoch_stats();
   EXPECT_GT(stats.executions, stats.epochs);
   ExpectReplicasConverged(*h.system);
+}
+
+// Replicas that apply an epoch to the same txns append one sealed body.
+void ExpectOneBodyPerEpoch(HarmonyConsensus consensus, uint32_t n) {
+  HarmonyHarness h(consensus, n);
+  DriveHotKeys(&h, 60);
+  h.sim.RunFor(6 * sim::kSec);
+  EXPECT_EQ(h.system->stats().committed, 60u);
+  EXPECT_GT(h.system->chain_of(h.system->node_ids()[0]).height(), 1u);
+  ExpectReplicasConverged(*h.system);
+  ExpectOneBodyPerHeight(*h.system);
+}
+
+TEST(HarmonySystemTest, SealsEachEpochOnceUnderRaft) {
+  ExpectOneBodyPerEpoch(HarmonyConsensus::kRaft, 5);
+}
+
+TEST(HarmonySystemTest, SealsEachEpochOnceUnderBft) {
+  ExpectOneBodyPerEpoch(HarmonyConsensus::kBft, 4);
+}
+
+core::TxnRequest SmallbankTxn(uint64_t id, const std::string& method,
+                              std::vector<std::string> args) {
+  core::TxnRequest req;
+  req.txn_id = id;
+  req.client_id = id;
+  req.contract = "smallbank";
+  req.method = method;
+  req.args = std::move(args);
+  return req;
+}
+
+// One replica's balance is lower, so one payment aborts there and commits
+// everywhere else. That replica seals its own body (a different root) for
+// the epoch carrying the payment; the others keep sharing one, and every
+// epoch whose outcome agrees is shared by all five again.
+TEST(HarmonySystemTest, ReplicaWithOtherOutcomeSealsItsOwnBody) {
+  HarmonyHarness h;
+  const auto& ids = h.system->node_ids();
+  const std::string alice = contract::SmallbankContract::CheckingKey("alice");
+  h.system->Load(alice, "1000");
+  h.system->PutForTest(ids[0], alice, "100");
+  const uint64_t payment = 31;
+  for (uint64_t i = 1; i <= 60; i++) {
+    h.sim.Schedule(static_cast<sim::Time>(i) * 10 * sim::kMs, [&h, i] {
+      h.system->Submit(
+          i == payment ? SmallbankTxn(i, "send_payment", {"alice", "bob", "500"})
+                       : RmwTxn(i, "hot" + std::to_string(i % 3), "v"),
+          [](const core::TxnResult&) {});
+    });
+  }
+  h.sim.RunFor(6 * sim::kSec);
+  EXPECT_EQ(h.system->stats().committed + h.system->stats().aborted, 60u);
+
+  const ledger::Chain& odd = h.system->chain_of(ids[0]);
+  const ledger::Chain& healthy = h.system->chain_of(ids[1]);
+  ASSERT_EQ(odd.height(), healthy.height());
+  uint64_t own_bodies = 0;
+  for (uint64_t b = 0; b < healthy.height(); b++) {
+    for (size_t i = 2; i < ids.size(); i++) {
+      EXPECT_EQ(h.system->chain_of(ids[i]).body(b).get(),
+                healthy.body(b).get())
+          << "block " << b;
+    }
+    bool carries_payment = false;
+    const std::vector<ledger::LedgerTxn>& txns = healthy.block(b).txns;
+    for (size_t t = 0; t < txns.size(); t++) {
+      if (txns[t].txn_id != payment) continue;
+      carries_payment = true;
+      EXPECT_TRUE(txns[t].valid);
+      EXPECT_FALSE(odd.block(b).txns.at(t).valid);
+    }
+    if (carries_payment) {
+      own_bodies++;
+      EXPECT_NE(odd.body(b).get(), healthy.body(b).get());
+      EXPECT_NE(odd.block(b).header.txn_root, healthy.block(b).header.txn_root);
+    } else {
+      EXPECT_EQ(odd.body(b).get(), healthy.body(b).get()) << "block " << b;
+    }
+  }
+  EXPECT_EQ(own_bodies, 1u);
+  EXPECT_TRUE(odd.Verify().ok());
+  EXPECT_TRUE(healthy.Verify().ok());
+  EXPECT_LE(h.system->bodies_held(), runtime::BlockPipeline::kMaxBodies);
+}
+
+// A replica that appends nothing for many epochs would pin every sealed
+// body; the pipeline instead holds at most kMaxBodies, and the replica
+// seals what aged out once it is back.
+TEST(HarmonySystemTest, SealedBodiesStayBoundedWhileReplicaIsCutOff) {
+  HarmonyHarness h;
+  const auto& ids = h.system->node_ids();
+  const sim::NodeId cut = ids[0];
+  std::vector<sim::NodeId> rest(ids.begin() + 1, ids.end());
+  DriveHotKeys(&h, 300);
+  const sim::Time start = h.sim.Now();
+  h.sim.Schedule(200 * sim::kMs, [&] { h.net.Partition({{cut}, rest}); });
+  h.sim.Schedule(2700 * sim::kMs, [&] { h.net.HealPartition(); });
+  size_t most_held = 0;
+  while (h.sim.Now() < start + 8 * sim::kSec) {
+    h.sim.RunFor(10 * sim::kMs);
+    most_held = std::max(most_held, h.system->bodies_held());
+    ASSERT_LE(h.system->bodies_held(), runtime::BlockPipeline::kMaxBodies);
+  }
+  EXPECT_EQ(most_held, runtime::BlockPipeline::kMaxBodies);
+  EXPECT_EQ(h.system->stats().committed, 300u);
+  ExpectReplicasConverged(*h.system);
+  // The rejoined replica sealed its own copies of the bodies that aged out,
+  // equal in content and root.
+  const ledger::Chain& rejoined = h.system->chain_of(cut);
+  const ledger::Chain& healthy = h.system->chain_of(ids[1]);
+  uint64_t own = 0;
+  for (uint64_t b = 0; b < healthy.height(); b++) {
+    EXPECT_EQ(rejoined.block(b).txns, healthy.block(b).txns);
+    own += rejoined.body(b).get() != healthy.body(b).get();
+  }
+  EXPECT_GT(own, runtime::BlockPipeline::kMaxBodies);
+}
+
+// The replicas share node stores and sealed bodies without a lock, so a
+// replica placed on another simulator partition stops the world at once.
+TEST(HarmonySystemDeathTest, ReplicaOffPartitionZeroAborts) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DEATH(
+      {
+        sim::Simulator sim(1);
+        sim.AssignNode(runtime::kHarmonyBase + 2, sim.AddPartition());
+        sim::SimNetwork net(&sim, sim::NetworkConfig{});
+        sim::CostModel costs;
+        HarmonySystem system(&sim, &net, &costs, HarmonyConfig{});
+      },
+      "partition 0");
 }
 
 }  // namespace

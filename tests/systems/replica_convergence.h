@@ -40,6 +40,28 @@ void ExpectReplicasConverged(const System& system) {
   }
 }
 
+/// Sealed-body sharing in a fault-free run: at every height each replica
+/// holds the one body sealed for that height, under its own header, and no
+/// body is left held for a replica. System must also expose bodies_held().
+template <typename System>
+void ExpectOneBodyPerHeight(const System& system) {
+  const auto& ids = system.node_ids();
+  ASSERT_FALSE(ids.empty());
+  const ledger::Chain& chain0 = system.chain_of(ids[0]);
+  EXPECT_GT(chain0.height(), 0u);
+  for (sim::NodeId id : ids) {
+    const ledger::Chain& chain = system.chain_of(id);
+    ASSERT_EQ(chain.height(), chain0.height()) << id;
+    for (uint64_t b = 0; b < chain.height(); b++) {
+      EXPECT_EQ(chain.body(b).get(), chain0.body(b).get())
+          << id << " block " << b;
+      EXPECT_EQ(chain.block(b).header.txn_root, chain.body(b)->root())
+          << id << " block " << b;
+    }
+  }
+  EXPECT_EQ(system.bodies_held(), 0u);
+}
+
 }  // namespace dicho::systems
 
 #endif  // DICHO_TESTS_SYSTEMS_REPLICA_CONVERGENCE_H_

@@ -251,6 +251,55 @@ TEST(QuorumSystemTest, ReplicasConvergeToIdenticalStateAndChain) {
   }
 }
 
+// Replicas that apply a block to the same txns append one sealed body, so
+// each block is Merkle-hashed once per world (plus the proposer's cut).
+TEST(QuorumSystemTest, SealsEachBlockOncePerWorld) {
+  for (auto [consensus, nodes] :
+       {std::pair{QuorumConsensus::kRaft, 5u},
+        std::pair{QuorumConsensus::kIbft, 4u}}) {
+    QuorumHarness h(consensus, nodes);
+    h.system->Load(contract::SmallbankContract::CheckingKey("alice"), "50");
+    uint64_t id = 0;
+    for (int i = 0; i < 40; i++) {
+      h.sim.Schedule(i * 25 * sim::kMs, [&h, &id, i] {
+        ++id;
+        // Every fourth txn overdraws, so blocks mix valid and aborted txns.
+        h.system->Submit(
+            i % 4 == 0 ? SmallbankTxn(id, "send_payment",
+                                      {"alice", "bob", "500"})
+                       : PutTxn(id, "key" + std::to_string(i % 7), "v"),
+            [](const core::TxnResult&) {});
+      });
+    }
+    h.sim.RunFor(8 * sim::kSec);
+    EXPECT_EQ(h.system->stats().committed + h.system->stats().aborted, 40u);
+    EXPECT_EQ(h.system->stats().aborted, 10u);
+    EXPECT_GT(h.system->chain_of(0).height(), 1u);
+    ExpectReplicasConverged(*h.system);
+    ExpectOneBodyPerHeight(*h.system);
+  }
+}
+
+// Sealed bodies are shared without a lock: a replica on another simulator
+// partition aborts at its first committed block.
+TEST(QuorumSystemDeathTest, ReplicaOffPartitionZeroAborts) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DEATH(
+      {
+        sim::Simulator sim(1);
+        sim.AssignNode(runtime::kReplicaBase + 3, sim.AddPartition());
+        sim::SimNetwork net(&sim, sim::NetworkConfig{});
+        sim::CostModel costs;
+        QuorumConfig config;
+        QuorumSystem system(&sim, &net, &costs, config);
+        system.Start();
+        sim.RunFor(1 * sim::kSec);
+        system.Submit(PutTxn(1, "k", "v"), [](const core::TxnResult&) {});
+        sim.RunFor(5 * sim::kSec);
+      },
+      "partition 0");
+}
+
 TEST(QuorumSystemTest, CompletionReplicaAnswersItsBlocksAfterLeaderMoves) {
   QuorumHarness h;
   ExpectWritesAnsweredOnceAcrossLeaderMove(&h, [](uint64_t id) {
