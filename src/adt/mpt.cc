@@ -387,7 +387,7 @@ MerklePatriciaTrie::Digest MerklePatriciaTrie::InsertAt(
 
   if (node.tag == kLeafTag || node.tag == kVLeafTag) {
     if (node.path.size() == rest_n &&
-        memcmp(node.path.data(), rest, rest_n) == 0) {
+        (rest_n == 0 || memcmp(node.path.data(), rest, rest_n) == 0)) {
       put_replaced_ = true;
       SerializeLeafRef(&node_scratch_, rest, rest_n, value);  // overwrite
       return Store(node_scratch_);
@@ -619,7 +619,8 @@ MerklePatriciaTrie::Digest MerklePatriciaTrie::BatchInsertAt(
     bool replaced = false;
     for (BatchEntry* it = begin; it < end; it++) {
       if (it->path_len - depth == leaf_rest &&
-          memcmp(it->path + depth, node->path.data(), leaf_rest) == 0) {
+          (leaf_rest == 0 ||
+           memcmp(it->path + depth, node->path.data(), leaf_rest) == 0)) {
         replaced = true;
         break;
       }
@@ -805,7 +806,7 @@ Status MerklePatriciaTrie::GetAt(const Digest& node_digest,
   const size_t rest_n = path.size() - depth;
   if (node.tag == kLeafTag || node.tag == kVLeafTag) {
     if (node.path.size() != rest_n ||
-        memcmp(node.path.data(), rest, rest_n) != 0) {
+        (rest_n != 0 && memcmp(node.path.data(), rest, rest_n) != 0)) {
       return Status::NotFound();
     }
     return load_value();
@@ -892,7 +893,7 @@ bool VerifyMptProof(const crypto::Digest& root, const Slice& key,
     const size_t rest_n = path.size() - depth;
     if (node.tag == kLeafTag || node.tag == kVLeafTag) {
       return n == proof.nodes.size() - 1 && node.path.size() == rest_n &&
-             memcmp(node.path.data(), rest, rest_n) == 0 &&
+             (rest_n == 0 || memcmp(node.path.data(), rest, rest_n) == 0) &&
              value_matches(node);
     }
     if (node.tag == kExtTag) {

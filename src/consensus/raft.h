@@ -163,7 +163,15 @@ class RaftNode {
   /// Committed command at 1-based absolute log index (test oracle).
   /// Precondition: index > snapshot_index() — compacted entries are gone.
   const std::string& CommittedEntry(uint64_t index) const {
-    return *log_[index - snapshot_index_ - 1].cmd;
+    return *CommittedCommand(index);
+  }
+  /// The shared buffer behind CommittedEntry(index): the one every log and
+  /// AppendEntries holding the entry points at. An apply callback can keep
+  /// it to reference the command's bytes without copying them.
+  /// Precondition: index > snapshot_index().
+  const std::shared_ptr<const std::string>& CommittedCommand(
+      uint64_t index) const {
+    return log_[index - snapshot_index_ - 1].cmd;
   }
   /// Term of the entry at 1-based absolute index (invariant checkers).
   /// Precondition: index > snapshot_index().

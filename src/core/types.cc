@@ -77,39 +77,50 @@ std::string TxnRequest::Serialize() const {
   return out;
 }
 
-bool TxnRequest::Deserialize(const std::string& data, TxnRequest* out) {
-  Slice in(data);
-  Slice contract, method;
+bool TxnRequestView::Parse(const Slice& data, TxnRequestView* out) {
+  Slice in = data;
   uint32_t nargs, nops;
   if (!GetFixed64(&in, &out->txn_id) || !GetFixed64(&in, &out->client_id) ||
-      !GetLengthPrefixed(&in, &contract) ||
-      !GetLengthPrefixed(&in, &method) || !GetVarint32(&in, &nargs)) {
+      !GetLengthPrefixed(&in, &out->contract) ||
+      !GetLengthPrefixed(&in, &out->method) || !GetVarint32(&in, &nargs)) {
     return false;
   }
-  out->contract = contract.ToString();
-  out->method = method.ToString();
   out->args.clear();
   for (uint32_t i = 0; i < nargs; i++) {
     Slice a;
     if (!GetLengthPrefixed(&in, &a)) return false;
-    out->args.push_back(a.ToString());
+    out->args.push_back(a);
   }
   if (!GetVarint32(&in, &nops)) return false;
   out->ops.clear();
   for (uint32_t i = 0; i < nops; i++) {
     if (in.empty()) return false;
-    Op op;
+    OpView op;
     op.type = static_cast<OpType>(in[0]);
     in.RemovePrefix(1);
-    Slice key, value;
-    if (!GetLengthPrefixed(&in, &key) || !GetLengthPrefixed(&in, &value)) {
+    if (!GetLengthPrefixed(&in, &op.key) ||
+        !GetLengthPrefixed(&in, &op.value)) {
       return false;
     }
-    op.key = key.ToString();
-    op.value = value.ToString();
-    out->ops.push_back(std::move(op));
+    out->ops.push_back(op);
   }
   return in.empty();
+}
+
+bool TxnRequest::Deserialize(const std::string& data, TxnRequest* out) {
+  TxnRequestView view;
+  if (!TxnRequestView::Parse(data, &view)) return false;
+  out->txn_id = view.txn_id;
+  out->client_id = view.client_id;
+  out->contract = view.contract.ToString();
+  out->method = view.method.ToString();
+  out->args.clear();
+  for (const Slice& a : view.args) out->args.push_back(a.ToString());
+  out->ops.clear();
+  for (const OpView& op : view.ops) {
+    out->ops.push_back({op.type, op.key.ToString(), op.value.ToString()});
+  }
+  return true;
 }
 
 }  // namespace dicho::core

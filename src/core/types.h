@@ -8,6 +8,7 @@
 #include <string>
 #include <vector>
 
+#include "common/slice.h"
 #include "common/status.h"
 #include "sim/simulator.h"
 
@@ -54,7 +55,30 @@ struct TxnRequest {
   }
 
   std::string Serialize() const;
+  /// Decodes through TxnRequestView::Parse and copies the views out.
   static bool Deserialize(const std::string& data, TxnRequest* out);
+};
+
+/// An Op whose key and value point into an encoded TxnRequest.
+struct OpView {
+  OpType type;
+  Slice key;
+  Slice value;
+};
+
+/// A decoded TxnRequest whose byte fields are Slices into the encoded
+/// buffer, which must outlive the view. Parse is the only decoder of the
+/// TxnRequest::Serialize wire format.
+struct TxnRequestView {
+  uint64_t txn_id = 0;
+  uint64_t client_id = 0;
+  Slice contract;
+  Slice method;
+  std::vector<Slice> args;
+  std::vector<OpView> ops;
+
+  /// False when `data` is not exactly one encoded TxnRequest.
+  static bool Parse(const Slice& data, TxnRequestView* out);
 };
 
 /// Why a transaction aborted — the paper breaks abort rates down by cause

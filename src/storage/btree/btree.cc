@@ -2,6 +2,12 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstdio>
+#include <cstdlib>
+#include <cstring>
+#include <functional>
+#include <iterator>
+#include <utility>
 
 namespace dicho::storage::btree {
 
@@ -17,6 +23,21 @@ struct BTree::Node {
 
   explicit Node(bool is_leaf) : leaf(is_leaf) {}
 };
+
+namespace {
+
+/// The child of an interior node whose range holds `key`: the index of the
+/// first separator greater than it.
+size_t ChildIndex(const std::vector<std::string>& separators,
+                  const Slice& key) {
+  return std::upper_bound(separators.begin(), separators.end(), key,
+                          [](const Slice& k, const std::string& separator) {
+                            return k < Slice(separator);
+                          }) -
+         separators.begin();
+}
+
+}  // namespace
 
 BTree::BTree(int order) : order_(order < 4 ? 4 : order) {
   root_ = new Node(/*is_leaf=*/true);
@@ -44,11 +65,7 @@ int BTree::height() const {
 BTree::Node* BTree::FindLeaf(const Slice& key) const {
   Node* node = root_;
   while (!node->leaf) {
-    // First separator > key  => child index.
-    size_t i = std::upper_bound(node->keys.begin(), node->keys.end(),
-                                key.ToString()) -
-               node->keys.begin();
-    node = node->children[i];
+    node = node->children[ChildIndex(node->keys, key)];
   }
   return node;
 }
@@ -61,7 +78,7 @@ Status BTree::Get(const Slice& key, std::string* value) {
   if (it == leaf->entries.end() || Slice(it->key) != key) {
     return Status::NotFound();
   }
-  *value = it->value;
+  value->assign(it->value.get(), it->value_size);
   return Status::Ok();
 }
 
@@ -72,8 +89,9 @@ void BTree::SplitChild(Node* parent, int index) {
 
   if (child->leaf) {
     size_t mid = child->entries.size() / 2;
-    sibling->entries.assign(child->entries.begin() + mid,
-                            child->entries.end());
+    sibling->entries.assign(
+        std::make_move_iterator(child->entries.begin() + mid),
+        std::make_move_iterator(child->entries.end()));
     child->entries.resize(mid);
     sibling->next = child->next;
     child->next = sibling;
@@ -93,26 +111,27 @@ void BTree::SplitChild(Node* parent, int index) {
   parent->children.insert(parent->children.begin() + index + 1, sibling);
 }
 
-void BTree::InsertNonFull(Node* node, const Slice& key, const Slice& value,
-                          bool* inserted, uint64_t* delta_bytes) {
+void BTree::InsertNonFull(Node* node, const Slice& key,
+                          std::shared_ptr<const char>* value,
+                          size_t value_size, bool* inserted,
+                          uint64_t* delta_bytes) {
   if (node->leaf) {
     auto it = std::lower_bound(
         node->entries.begin(), node->entries.end(), key,
         [](const LeafEntry& e, const Slice& k) { return Slice(e.key) < k; });
     if (it != node->entries.end() && Slice(it->key) == key) {
-      *delta_bytes = value.size() - it->value.size();
-      it->value = value.ToString();
+      *delta_bytes = value_size - it->value_size;
+      it->value = std::move(*value);
+      it->value_size = value_size;
       *inserted = false;
     } else {
-      node->entries.insert(it, {key.ToString(), value.ToString()});
-      *delta_bytes = key.size() + value.size();
+      node->entries.insert(it, {key.ToString(), std::move(*value), value_size});
+      *delta_bytes = key.size() + value_size;
       *inserted = true;
     }
     return;
   }
-  size_t i = std::upper_bound(node->keys.begin(), node->keys.end(),
-                              key.ToString()) -
-             node->keys.begin();
+  size_t i = ChildIndex(node->keys, key);
   Node* child = node->children[i];
   bool full = child->leaf
                   ? static_cast<int>(child->entries.size()) >= order_
@@ -125,10 +144,37 @@ void BTree::InsertNonFull(Node* node, const Slice& key, const Slice& value,
       child = node->children[i];
     }
   }
-  InsertNonFull(child, key, value, inserted, delta_bytes);
+  InsertNonFull(child, key, value, value_size, inserted, delta_bytes);
 }
 
 Status BTree::Put(const Slice& key, const Slice& value) {
+  std::shared_ptr<char[]> copy =
+      std::make_shared_for_overwrite<char[]>(value.size());
+  if (!value.empty()) memcpy(copy.get(), value.data(), value.size());
+  char* bytes = copy.get();
+  return PutValue(key, std::shared_ptr<const char>(std::move(copy), bytes),
+                  value.size());
+}
+
+Status BTree::Put(const Slice& key, std::shared_ptr<const std::string> owner,
+                  const Slice& value) {
+  // A total order even when the pointers lie in unrelated arrays.
+  const std::less_equal<const char*> le;
+  if (owner == nullptr || !le(owner->data(), value.data()) ||
+      !le(value.data() + value.size(), owner->data() + owner->size())) {
+    std::fprintf(stderr,
+                 "btree: shared Put value (%zu bytes) lies outside its owner "
+                 "buffer\n",
+                 value.size());
+    std::abort();
+  }
+  return PutValue(key, std::shared_ptr<const char>(std::move(owner),
+                                                   value.data()),
+                  value.size());
+}
+
+Status BTree::PutValue(const Slice& key, std::shared_ptr<const char> value,
+                       size_t value_size) {
   bool root_full = root_->leaf
                        ? static_cast<int>(root_->entries.size()) >= order_
                        : static_cast<int>(root_->keys.size()) >= order_;
@@ -140,7 +186,7 @@ Status BTree::Put(const Slice& key, const Slice& value) {
   }
   bool inserted = false;
   uint64_t delta = 0;
-  InsertNonFull(root_, key, value, &inserted, &delta);
+  InsertNonFull(root_, key, &value, value_size, &inserted, &delta);
   if (inserted) count_++;
   bytes_ += delta;
   return Status::Ok();
@@ -158,7 +204,7 @@ Status BTree::Delete(const Slice& key) {
   if (it == leaf->entries.end() || Slice(it->key) != key) {
     return Status::NotFound();
   }
-  bytes_ -= it->key.size() + it->value.size();
+  bytes_ -= it->key.size() + it->value_size;
   leaf->entries.erase(it);
   count_--;
   return Status::Ok();
@@ -176,9 +222,6 @@ Status BTree::Write(const WriteBatch& batch) {
   }
   return Status::Ok();
 }
-
-namespace {
-}  // namespace
 
 class BTreeIterator : public storage::Iterator {
  public:
@@ -213,7 +256,7 @@ class BTreeIterator : public storage::Iterator {
   }
 
   Slice key() const override { return Slice(leaf_->entries[index_].key); }
-  Slice value() const override { return Slice(leaf_->entries[index_].value); }
+  Slice value() const override { return leaf_->entries[index_].value_slice(); }
 
  private:
   void SkipEmptyLeaves() {

@@ -1,5 +1,8 @@
 #include "systems/etcd.h"
 
+#include <cstdio>
+#include <cstdlib>
+
 #include "obs/trace.h"
 
 namespace dicho::systems {
@@ -39,17 +42,37 @@ void EtcdSystem::Start() {
   if (lifecycle_ != nullptr) lifecycle_->Start();
 }
 
+void EtcdSystem::Load(const std::string& key, const std::string& value) {
+  auto record = std::make_shared<const std::string>(value);
+  nodes_.ForEach(
+      [&](NodeId, Node& node) { node.state.Put(key, record, *record); });
+  if (lifecycle_ != nullptr) lifecycle_->OnLoad(key, value);
+}
+
 void EtcdSystem::ApplyEntry(NodeId node, uint64_t seq, const std::string& cmd) {
-  core::TxnRequest request;
-  if (!core::TxnRequest::Deserialize(cmd, &request)) return;
+  // The leaves reference the replicated command itself, so every replica
+  // shares its value bytes; `cmd` must be that buffer.
+  std::shared_ptr<const std::string> command =
+      transport_->raft()->node(node)->CommittedCommand(seq);
+  if (command.get() != &cmd) {
+    std::fprintf(stderr,
+                 "etcd: replica %u applied entry %llu from outside its log\n",
+                 static_cast<unsigned>(node),
+                 static_cast<unsigned long long>(seq));
+    std::abort();
+  }
+  core::TxnRequestView request;
+  if (!core::TxnRequestView::Parse(cmd, &request)) return;
   Time cost = 0;
   Node* state = &nodes_.at(node);
   std::vector<std::pair<std::string, std::string>> writes;
-  for (const auto& op : request.ops) {
+  for (const core::OpView& op : request.ops) {
     if (op.type != core::OpType::kRead) {
-      state->state.Put(op.key, op.value);
+      state->state.Put(op.key, command, op.value);
       cost += costs_->BtreeOpCost(op.key.size() + op.value.size());
-      if (lifecycle_ != nullptr) writes.emplace_back(op.key, op.value);
+      if (lifecycle_ != nullptr) {
+        writes.emplace_back(op.key.ToString(), op.value.ToString());
+      }
     }
   }
   if (lifecycle_ != nullptr) lifecycle_->OnApply(node, seq, writes);

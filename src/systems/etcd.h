@@ -51,16 +51,16 @@ class EtcdSystem : public core::TransactionalSystem {
   std::string name() const override { return "etcd"; }
 
   /// Pre-populates every replica directly (benchmark setup; bypasses
-  /// consensus the way a bulk load would).
-  void Load(const std::string& key, const std::string& value) override {
-    nodes_.ForEach([&](NodeId, Node& node) { node.state.Put(key, value); });
-    if (lifecycle_ != nullptr) lifecycle_->OnLoad(key, value);
-  }
+  /// consensus the way a bulk load would). The replicas share one copy of
+  /// the value.
+  void Load(const std::string& key, const std::string& value) override;
 
   /// The replication group (raw Raft access for tests and inspection).
   runtime::Transport* transport() { return transport_.get(); }
 
-  /// Every node's full copy of the state (full replication).
+  /// Every node's full copy of the state (full replication). Values are
+  /// shared: each replica's leaves point into the replicated Raft command
+  /// (or the loaded record) rather than holding private bytes.
   storage::btree::BTree* state_of(NodeId node) { return &nodes_.at(node).state; }
   uint64_t StateBytes() const;
 

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <memory>
+#include <string>
 
 #include "common/random.h"
 #include "storage/memkv.h"
@@ -113,6 +115,63 @@ TEST(BTreeTest, ApproximateSizeTracksBytes) {
   EXPECT_EQ(tree.ApproximateSize(), 8u);
   ASSERT_TRUE(tree.Delete("abc").ok());
   EXPECT_EQ(tree.ApproximateSize(), 0u);
+}
+
+TEST(BTreeTest, PutCopiesCallerBytes) {
+  BTree tree;
+  std::string key = "k";
+  std::string value = "original";
+  ASSERT_TRUE(tree.Put(key, value).ok());
+  key[0] = 'x';
+  value.assign("mutated!");
+  std::string got;
+  ASSERT_TRUE(tree.Get("k", &got).ok());
+  EXPECT_EQ(got, "original");
+  EXPECT_TRUE(tree.Get("x", &got).IsNotFound());
+}
+
+TEST(BTreeTest, SharedPutKeepsOwnerAlive) {
+  BTree tree;
+  auto owner = std::make_shared<const std::string>("header:payload:trailer");
+  std::weak_ptr<const std::string> watch = owner;
+  const Slice value(owner->data() + 7, 7);  // "payload"
+  ASSERT_TRUE(tree.Put("k", owner, value).ok());
+  owner.reset();
+  ASSERT_FALSE(watch.expired());
+  std::string got;
+  ASSERT_TRUE(tree.Get("k", &got).ok());
+  EXPECT_EQ(got, "payload");
+  auto it = tree.NewIterator();
+  it->SeekToFirst();
+  ASSERT_TRUE(it->Valid());
+  EXPECT_EQ(static_cast<const void*>(it->value().data()),
+            static_cast<const void*>(watch.lock()->data() + 7));
+  EXPECT_EQ(tree.ApproximateSize(), 1u + 7u);
+  it.reset();
+  // Overwriting the key drops the owner's last reference.
+  ASSERT_TRUE(tree.Put("k", "replaced").ok());
+  EXPECT_TRUE(watch.expired());
+  ASSERT_TRUE(tree.Get("k", &got).ok());
+  EXPECT_EQ(got, "replaced");
+}
+
+TEST(BTreeDeathTest, SharedPutRejectsValueOutsideOwner) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  auto owner = std::make_shared<const std::string>("0123456789");
+  EXPECT_DEATH(
+      {
+        BTree tree;
+        std::string elsewhere = "0123";
+        (void)tree.Put("k", owner, Slice(elsewhere));
+      },
+      "outside its owner");
+  EXPECT_DEATH(
+      {
+        BTree tree;
+        // Starts inside the owner but runs past its end.
+        (void)tree.Put("k", owner, Slice(owner->data() + 8, 3));
+      },
+      "outside its owner");
 }
 
 // Differential fuzz across node orders: B+-tree vs std::map oracle, with

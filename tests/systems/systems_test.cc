@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
 #include <string>
 #include <utility>
@@ -97,6 +98,55 @@ TEST(EtcdSystemTest, QueryReturnsLoadedValue) {
   EXPECT_EQ(result.value, "loaded");
   // Sub-millisecond reads (paper Fig. 5).
   EXPECT_LT(result.latency(), 2 * sim::kMs);
+}
+
+// Full replication keeps one copy of each value per world: every replica's
+// leaf points into the shared Raft command (or the one loaded record).
+TEST(EtcdSystemTest, ReplicasShareOneValueBuffer) {
+  EtcdHarness h;
+  ASSERT_TRUE(h.system->HasLeader());
+  std::map<std::string, std::string> expected;
+  for (int i = 0; i < 30; i++) {  // keys 25-29 keep their loaded value
+    const std::string key = "key" + std::to_string(i);
+    expected[key] = "loaded" + std::to_string(i);
+    h.system->Load(key, expected[key]);
+  }
+  int committed = 0;
+  for (int i = 0; i < 30; i++) {
+    const std::string key = "key" + std::to_string(i % 25);
+    const std::string value = std::string(1000, 'a' + i % 26) +
+                              std::to_string(i);
+    expected[key] = value;
+    h.sim.Schedule(static_cast<sim::Time>(i) * 2 * sim::kMs, [&, i, key,
+                                                              value] {
+      h.system->Submit(PutTxn(static_cast<uint64_t>(i + 1), key, value),
+                       [&](const core::TxnResult& r) {
+                         if (r.status.ok()) committed++;
+                       });
+    });
+  }
+  h.sim.RunFor(2 * sim::kSec);
+  ASSERT_EQ(committed, 30);
+
+  std::vector<std::unique_ptr<storage::Iterator>> its;
+  for (NodeId n = 0; n < 5; n++) {
+    its.push_back(h.system->state_of(n)->NewIterator());
+    its.back()->SeekToFirst();
+  }
+  for (const auto& [key, value] : expected) {
+    ASSERT_TRUE(its[0]->Valid());
+    const char* shared = its[0]->value().data();
+    for (NodeId n = 0; n < 5; n++) {
+      ASSERT_TRUE(its[n]->Valid()) << n;
+      ASSERT_EQ(its[n]->key().ToString(), key) << n;
+      EXPECT_EQ(its[n]->value().ToString(), value) << key << " @" << n;
+      EXPECT_EQ(static_cast<const void*>(its[n]->value().data()),
+                static_cast<const void*>(shared))
+          << key << " @" << n;
+      its[n]->Next();
+    }
+  }
+  for (NodeId n = 0; n < 5; n++) EXPECT_FALSE(its[n]->Valid()) << n;
 }
 
 // A leader cut off by a partition still believes it leads. Writes must go
